@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundFormula,
-    bound_value,
     dimension_bound,
     linear_bound,
     oscillation_bound,

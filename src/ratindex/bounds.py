@@ -69,7 +69,3 @@ def oscillation_bound(nonterminal_count: int, k: int, constant: int = 1) -> Boun
 
 def ultralinear_bound(k: int, constant: int = 1) -> BoundFormula:
     return BoundFormula("ultralinear", constant, degree=k)
-
-
-def bound_value(formula: BoundFormula, n: int) -> int:
-    return formula.value(n)

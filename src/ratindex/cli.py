@@ -64,10 +64,6 @@ def _load_automaton(args):
     return parse_graph(_read(args.graph))
 
 
-def _word_output(word) -> str:
-    return format_word(word)
-
-
 def cmd_cnf(args) -> int:
     g = to_cnf(_load_grammar(args.grammar))
     sys.stdout.write(grammar_to_text(g))
@@ -101,7 +97,7 @@ def cmd_shortest(args) -> int:
         print("L ∩ K = ∅", file=sys.stderr)
         return 1
     length, word, triple = best
-    print("%d\t%s" % (length, _word_output(word)))
+    print("%d\t%s" % (length, format_word(word)))
     if args.witness and triple is not None:
         witness = extract_witness(product, table, triple)
         print("path\t%s" % " ".join(witness.path))
@@ -190,7 +186,7 @@ def cmd_measure_rho(args) -> int:
                 est.n,
                 est.value if est.value is not None else "",
                 str(est.exhaustive).lower(),
-                _word_output(est.witness_word) if est.witness_word is not None else "",
+                format_word(est.witness_word) if est.witness_word is not None else "",
                 est.witness_id or "",
             ]
         )

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RatIndexError
+from .intersection import ProductClosure, derivation_tree
 from .trees import EPSILON, ParseTree
 
 
@@ -84,12 +85,6 @@ class Grammar:
                     raise UndeclaredSymbolError(
                         "unknown symbol %r in production %s" % (sym, prod)
                     )
-
-    def rules_for(self, nonterminal: str) -> tuple[tuple[int, Production], ...]:
-        """(production id, production) pairs with the given head."""
-        return tuple(
-            (i, p) for i, p in enumerate(self.productions) if p.lhs == nonterminal
-        )
 
     def by_lhs(self) -> dict[str, list[tuple[int, Production]]]:
         index: dict[str, list[tuple[int, Production]]] = {}
@@ -362,22 +357,6 @@ def trim_useless(g: Grammar) -> Grammar:
     )
 
 
-def min_yield_lengths(g: Grammar) -> dict[str, float]:
-    """Shortest derivable word length per symbol (inf when non-generating)."""
-    best: dict[str, float] = {t: 1 for t in g.terminals}
-    for nt in g.nonterminals:
-        best[nt] = float("inf")
-    changed = True
-    while changed:
-        changed = False
-        for prod in g.productions:
-            total = sum(best[s] for s in prod.rhs)
-            if total < best[prod.lhs]:
-                best[prod.lhs] = total
-                changed = True
-    return best
-
-
 def _fresh_name(base: str, used: set[str]) -> str:
     if base not in used:
         used.add(base)
@@ -534,83 +513,45 @@ def _check_word(g: Grammar, word: Sequence[str]) -> tuple[str, ...]:
 
 
 def cyk_membership(g: CNFGrammar, word: Sequence[str]) -> bool:
-    """Decide whether the CNF grammar derives the word."""
+    """Decide whether the CNF grammar derives the word.
+
+    Runs the product closure over the word's chain automaton, whose states
+    are the positions 0..|w|, so the cost follows the realized
+    (nonterminal, i, j) facts rather than |w|^3.
+    """
     w = _check_word(g, word)
     if not w:
         return g.epsilon_at_start
-    n = len(w)
-    terminal_rules: dict[str, list[str]] = {}
-    pair_rules = []
-    for prod in g.productions:
-        if len(prod.rhs) == 1:
-            terminal_rules.setdefault(prod.rhs[0], []).append(prod.lhs)
-        elif len(prod.rhs) == 2:
-            pair_rules.append((prod.lhs, prod.rhs[0], prod.rhs[1]))
-    table: dict[tuple[int, int], set[str]] = {}
-    for i in range(n):
-        table[(i, i + 1)] = set(terminal_rules.get(w[i], ()))
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span
-            cell: set[str] = set()
-            for k in range(i + 1, j):
-                left, right = table[(i, k)], table[(k, j)]
-                if left and right:
-                    for head, b, c in pair_rules:
-                        if b in left and c in right:
-                            cell.add(head)
-            table[(i, j)] = cell
-    return g.start in table[(0, n)]
+    product = ProductClosure(g, [(p, a, p + 1) for p, a in enumerate(w)])
+    return (g.start, 0, len(w)) in product.lengths
 
 
 def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
     """Return one parse tree of the word, or None when it is not derivable.
 
     Tie-breaking is deterministic: lower production ids and smaller split
-    points win.
+    points win.  This is the canonical rule of the product closure: on the
+    word's chain every derivation of (A, i, j) spells w[i:j], so words never
+    decide.
     """
     w = _check_word(g, word)
     if not w:
         if g.epsilon_at_start:
             return ParseTree(g.start, (ParseTree(EPSILON),))
         return None
-    n = len(w)
-    terminal_rules: dict[str, list[tuple[int, str]]] = {}
-    pair_rules = []
-    for pid, prod in enumerate(g.productions):
-        if len(prod.rhs) == 1:
-            terminal_rules.setdefault(prod.rhs[0], []).append((pid, prod.lhs))
-        elif len(prod.rhs) == 2:
-            pair_rules.append((pid, prod.lhs, prod.rhs[0], prod.rhs[1]))
-    back: dict[tuple[int, int], dict[str, tuple]] = {}
-    for i in range(n):
-        cell: dict[str, tuple] = {}
-        for pid, head in terminal_rules.get(w[i], ()):
-            cell.setdefault(head, ("terminal", w[i]))
-        back[(i, i + 1)] = cell
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span
-            cell = {}
-            for pid, head, b, c in pair_rules:
-                if head in cell:
-                    continue
-                for k in range(i + 1, j):
-                    if b in back[(i, k)] and c in back[(k, j)]:
-                        cell[head] = ("pair", b, c, k)
-                        break
-            back[(i, j)] = cell
-    if g.start not in back[(0, n)]:
+    product = ProductClosure(g, [(p, a, p + 1) for p, a in enumerate(w)])
+    root = (g.start, 0, len(w))
+    if root not in product.lengths:
         return None
 
-    def build(symbol: str, i: int, j: int) -> ParseTree:
-        entry = back[(i, j)][symbol]
-        if entry[0] == "terminal":
-            return ParseTree(symbol, (ParseTree(entry[1]),))
-        _, b, c, k = entry
-        return ParseTree(symbol, (build(b, i, k), build(c, k, j)))
+    def parts(triple: tuple[str, int, int]) -> tuple:
+        _, i, j = triple
+        if j == i + 1:
+            return (w[i],)
+        _pid, left, right = min(product.splits(triple))
+        return left, right
 
-    return build(g.start, 0, n)
+    return derivation_tree(root, parts)
 
 
 def is_valid_parse_tree(g: Grammar, tree: ParseTree, require_start: bool = False) -> bool:

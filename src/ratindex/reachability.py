@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from .errors import RatIndexError
 from .grammar import CNFGrammar
 from .graphs import LabeledGraph
+from .intersection import ProductClosure, derivation_path
 
 Fact = tuple[str, str, str]  # (nonterminal, source, target)
 
@@ -17,12 +18,12 @@ class NotReachableError(RatIndexError):
 @dataclass
 class ReachabilityRelation:
     """The set of facts (A, i, j): some path i -> j spells a word derivable
-    from A.  Keeps one derivation reason per fact for path extraction."""
+    from A.  Keeps the product closure that settled them for witnesses."""
 
     grammar: CNFGrammar
     graph: LabeledGraph
     facts: frozenset[Fact]
-    _reasons: dict[Fact, tuple] = field(repr=False, default_factory=dict)
+    _product: ProductClosure = field(repr=False, compare=False)
 
     def start_pairs(self) -> frozenset[tuple[str, str]]:
         start = self.grammar.start
@@ -37,56 +38,16 @@ class ReachabilityRelation:
 
 
 def all_pairs_reach(g: CNFGrammar, d: LabeledGraph) -> ReachabilityRelation:
-    """Semi-naive worklist closure of the product facts.
-
-    Base facts come from terminal rules over single edges; binary rules join
-    facts sharing a middle node through per-(nonterminal, node) indexes.
-    Empty-path facts (S, i, i) are included iff the grammar derives the
-    empty word.
+    """The realizable triples of the product of the grammar with the graph's
+    edges.  Empty-path facts (S, i, i) are included iff the grammar derives
+    the empty word; the start symbol then occurs in no body, so they join
+    with nothing and stay outside the closure.
     """
-    left_rules: dict[str, list[tuple[str, str]]] = {}
-    right_rules: dict[str, list[tuple[str, str]]] = {}
-    terminal_rules: dict[str, list[str]] = {}
-    for prod in g.productions:
-        if len(prod.rhs) == 1:
-            terminal_rules.setdefault(prod.rhs[0], []).append(prod.lhs)
-        elif len(prod.rhs) == 2:
-            b, c = prod.rhs
-            left_rules.setdefault(b, []).append((prod.lhs, c))
-            right_rules.setdefault(c, []).append((prod.lhs, b))
-
-    facts: set[Fact] = set()
-    reasons: dict[Fact, tuple] = {}
-    worklist: list[Fact] = []
-    by_source: dict[tuple[str, str], list[str]] = {}
-    by_target: dict[tuple[str, str], list[str]] = {}
-
-    def add(fact: Fact, reason: tuple) -> None:
-        if fact in facts:
-            return
-        facts.add(fact)
-        reasons[fact] = reason
-        worklist.append(fact)
-
-    for src, label, dst in sorted(d.edges):
-        for head in terminal_rules.get(label, ()):
-            add((head, src, dst), ("edge", label))
+    product = ProductClosure(g, d.edges)
+    facts = frozenset(product.lengths)
     if g.epsilon_at_start:
-        for node in sorted(d.nodes):
-            add((g.start, node, node), ("epsilon",))
-
-    while worklist:
-        head, i, j = worklist.pop()
-        by_source.setdefault((head, i), []).append(j)
-        by_target.setdefault((head, j), []).append(i)
-        for parent, partner in left_rules.get(head, ()):
-            for end in tuple(by_source.get((partner, j), ())):
-                add((parent, i, end), ("join", (head, i, j), (partner, j, end)))
-        for parent, partner in right_rules.get(head, ()):
-            for begin in tuple(by_target.get((partner, i), ())):
-                add((parent, begin, j), ("join", (partner, begin, i), (head, i, j)))
-
-    return ReachabilityRelation(g, d, frozenset(facts), reasons)
+        facts = facts.union((g.start, node, node) for node in d.nodes)
+    return ReachabilityRelation(g, d, facts, product)
 
 
 def witness_path(rel: ReachabilityRelation, source: str, target: str) -> tuple[str, ...]:
@@ -98,27 +59,16 @@ def witness_path(rel: ReachabilityRelation, source: str, target: str) -> tuple[s
 def witness(
     rel: ReachabilityRelation, source: str, target: str
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(node sequence, label word) for a start-symbol fact."""
+    """(node sequence, label word) for a start-symbol fact.
+
+    The word is the shortest one, and the lexicographically smallest among
+    those: the word of ``shortest_words`` for the same triple, or the empty
+    word on an empty path.
+    """
     fact = (rel.grammar.start, source, target)
     if fact not in rel.facts:
         raise NotReachableError("%r does not reach %r" % (source, target))
-
-    memo: dict[Fact, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-
-    def build(f: Fact) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        if f in memo:
-            return memo[f]
-        reason = rel._reasons[f]
-        if reason[0] == "edge":
-            result = ((f[1], f[2]), (reason[1],))
-        elif reason[0] == "epsilon":
-            result = ((f[1],), ())
-        else:
-            _, left, right = reason
-            left_nodes, left_word = build(left)
-            right_nodes, right_word = build(right)
-            result = (left_nodes + right_nodes[1:], left_word + right_word)
-        memo[f] = result
-        return result
-
-    return build(fact)
+    if source == target and rel.grammar.epsilon_at_start:
+        return (source,), ()
+    word = rel._product.entry(fact).word
+    return derivation_path(rel._product.entries, fact), word

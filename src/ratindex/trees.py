@@ -64,10 +64,44 @@ class ParseTree:
                 out.append(node.label)
         return tuple(out)
 
+    # Equality, hashing and printing walk the tree with explicit stacks, so
+    # that trees as tall as their words (CYK on a^n b^n) are handled.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # Equal trees print alike; printing is not injective, which a hash
+        # may tolerate.
+        return hash(str(self))
+
     def __str__(self) -> str:
-        if self.is_leaf:
-            return self.label
-        return "%s(%s)" % (self.label, " ".join(str(c) for c in self.children))
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item.is_leaf:
+                out.append(item.label)
+            else:
+                out.append(item.label + "(")
+                stack.append(")")
+                for k, child in enumerate(reversed(item.children)):
+                    if k:
+                        stack.append(" ")
+                    stack.append(child)
+        return "".join(out)
 
 
 def dimension(tree: ParseTree) -> int:

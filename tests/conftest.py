@@ -1,9 +1,16 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from ratindex.grammar import parse_grammar, to_cnf
 from ratindex.graphs import LabeledGraph
+
+# Tests that run `python -m ratindex` in a subprocess need src/ on its path
+# too; pytest's `pythonpath` setting only reaches this process.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 ANBN_TEXT = "S -> a S b | a b\n"
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from ratindex.grammar import CNFGrammar, Grammar, cyk_membership
+from ratindex.grammar import CNFGrammar, Grammar, Production, cyk_membership, trim_useless
 from ratindex.graphs import NFA, LabeledGraph
+from ratindex.intersection import UnrealizableTripleError, shortest_words
 
 
 def derives(g: Grammar, word) -> bool:
@@ -119,6 +120,61 @@ def shortest_intersection_bfs(
             return length, min(hits)
         level = next_level
     return None
+
+
+def productions_for(tg, triple):
+    """All product productions with the given head, as
+    (base production id, payload) where payload is either
+    ("edge", terminal) or ("pair", left triple, right triple)."""
+    head, i, j = triple
+    for pid, prod in enumerate(tg.grammar.productions):
+        if prod.lhs != head:
+            continue
+        if len(prod.rhs) == 1:
+            if (i, prod.rhs[0], j) in tg.automaton.transitions:
+                yield pid, ("edge", prod.rhs[0])
+        elif len(prod.rhs) == 2:
+            b, c = prod.rhs
+            for k in sorted(tg.automaton.states):
+                yield pid, ("pair", (b, i, k), (c, k, j))
+
+
+def materialize(tg, start) -> CNFGrammar:
+    """Flatten the product into an ordinary CNF grammar rooted at one triple.
+
+    Triple nonterminals are mangled to "A@i@j".  Only realizable triples are
+    kept so the result satisfies the usefulness invariant.  Intended for
+    small instances (tests, cross-checks).
+    """
+    table = shortest_words(tg)
+    if start not in table.entries:
+        raise UnrealizableTripleError("triple %r derives no word" % (start,))
+    realizable = table.realizable()
+
+    def mangle(t) -> str:
+        return "%s@%s@%s" % t
+
+    productions: list[Production] = []
+    for triple in sorted(realizable):
+        for pid, payload in productions_for(tg, triple):
+            if payload[0] == "edge":
+                productions.append(Production(mangle(triple), (payload[1],)))
+            else:
+                _, left, right = payload
+                if left in realizable and right in realizable:
+                    productions.append(
+                        Production(mangle(triple), (mangle(left), mangle(right)))
+                    )
+    nonterminals = frozenset(p.lhs for p in productions)
+    raw = Grammar(tg.grammar.terminals, nonterminals, tuple(productions), mangle(start))
+    trimmed = trim_useless(raw)
+    return CNFGrammar(
+        terminals=trimmed.terminals,
+        nonterminals=trimmed.nonterminals,
+        productions=trimmed.productions,
+        start=mangle(start),
+        epsilon_at_start=False,
+    )
 
 
 def walks_up_to(graph: LabeledGraph, max_edges: int):

@@ -7,7 +7,6 @@ from ratindex.intersection import (
     bar_hillel,
     extract_witness,
     height_bound_check,
-    materialize,
     realizable_start_pairs,
     shortest_start,
     shortest_words,
@@ -15,7 +14,7 @@ from ratindex.intersection import (
 from ratindex.measure import two_cycle_family
 from ratindex.sampling import random_cnf_grammar, random_graph, random_nfa
 
-from oracles import shortest_intersection_bfs, walks_up_to
+from oracles import materialize, shortest_intersection_bfs, walks_up_to
 
 
 @pytest.fixture

@@ -124,3 +124,20 @@ def test_monotonicity_facts_never_removed(rng):
             graph.nodes, graph.alphabet, frozenset(set(graph.edges) | extra)
         )
         assert all_pairs_reach(g, graph).facts <= all_pairs_reach(g, bigger).facts
+
+
+def test_witness_is_the_canonical_shortest_word(rng):
+    done = 0
+    while done < 200:
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2)
+        graph = random_graph(rng, rng.randint(2, 5), sorted(g.terminals), rng.randint(1, 10))
+        relation = all_pairs_reach(g, graph)
+        table = shortest_words(bar_hillel(g, graph))
+        for i, j in sorted(relation.start_pairs()):
+            nodes, word = witness(relation, i, j)
+            if g.epsilon_at_start and i == j:
+                assert (nodes, word) == ((i,), ())
+            else:
+                assert word == table.entries[(g.start, i, j)].word
+                assert len(nodes) == len(word) + 1
+            done += 1
