@@ -32,6 +32,7 @@ from .grammar import (
 )
 from .graphs import parse_graph, parse_nfa
 from .intersection import (
+    ProductClosure,
     bar_hillel,
     extract_witness,
     shortest_start,
@@ -81,10 +82,9 @@ def cmd_member(args) -> int:
 def cmd_intersect(args) -> int:
     g = to_cnf(_load_grammar(args.grammar))
     product = bar_hillel(g, _load_automaton(args))
-    table = shortest_words(product)
-    for (head, i, j) in sorted(table.entries):
-        entry = table.entries[(head, i, j)]
-        print("%s\t%s\t%s\t%d" % (head, i, j, entry.length))
+    lengths = ProductClosure(g, product.automaton.transitions).lengths
+    for triple in sorted(lengths):
+        print("%s\t%s\t%s\t%d" % (*triple, lengths[triple]))
     return 0
 
 

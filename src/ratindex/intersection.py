@@ -31,38 +31,43 @@ class UnrealizableTripleError(RatIndexError):
 class TripleGrammar:
     """The product of a CNF grammar with an automaton (see ProductClosure).
 
-    ``start_pairs`` carries the query semantics: all node pairs for a plain
-    graph, initial x accepting for an NFA.
+    The start rule is ``is_start`` and the empty-word rule is
+    ``empty_word_states``; the empty word is handled outside the product.
     """
 
     grammar: CNFGrammar
     automaton: NFA
-    start_pairs: tuple[tuple[str, str], ...]
-    semantics: str  # "graph" or "nfa"
+
+    def is_start(self, triple: Triple) -> bool:
+        """A start triple is (S, i, j) with i initial and j accepting."""
+        head, i, j = triple
+        nfa = self.automaton
+        return head == self.grammar.start and i in nfa.initial and j in nfa.accepting
+
+    def empty_word_states(self) -> frozenset[str]:
+        """The states i whose empty path (i, i) spells a word of the
+        intersection: those both initial and accepting, if the grammar
+        derives the empty word, and none otherwise."""
+        if not self.grammar.epsilon_at_start:
+            return frozenset()
+        return self.automaton.initial & self.automaton.accepting
 
     def start_triples(self) -> tuple[Triple, ...]:
-        return tuple((self.grammar.start, i, j) for i, j in self.start_pairs)
+        """Every triple ``is_start`` accepts, ordered by (i, j)."""
+        nfa = self.automaton
+        return tuple(
+            (self.grammar.start, i, j)
+            for i in sorted(nfa.initial)
+            for j in sorted(nfa.accepting)
+        )
 
 
 def bar_hillel(g: CNFGrammar, automaton: Union[LabeledGraph, NFA]) -> TripleGrammar:
-    """Build the product grammar.
-
-    A LabeledGraph is queried with every node pair as start (its graph
-    language); an NFA restricts starts to initial x accepting pairs.  The
-    empty word is handled outside the product: it belongs to the
-    intersection iff the grammar derives it and the query admits an empty
-    path (a pair with equal endpoints).
-    """
+    """Build the product grammar.  A LabeledGraph is queried through its
+    graph-language automaton, in which every node is initial and accepting."""
     if isinstance(automaton, LabeledGraph):
-        nfa = automaton.to_nfa()
-        semantics = "graph"
-    else:
-        nfa = automaton
-        semantics = "nfa"
-    pairs = tuple(
-        (i, j) for i in sorted(nfa.initial) for j in sorted(nfa.accepting)
-    )
-    return TripleGrammar(g, nfa, pairs, semantics)
+        automaton = automaton.to_nfa()
+    return TripleGrammar(g, automaton)
 
 
 @dataclass(frozen=True)
@@ -304,43 +309,31 @@ def extract_witness(tg: TripleGrammar, table: ShortestTable, triple: Triple) -> 
 
 
 def shortest_start(
-    tg: TripleGrammar, table: ShortestTable, include_epsilon: bool = True
+    tg: TripleGrammar, table: ShortestTable
 ) -> tuple[int, tuple[str, ...], Triple | None] | None:
     """Minimum over the start triples: (length, word, triple).
 
-    The triple is None when the minimum is the empty word (permitted when
-    the grammar derives it and some start pair has equal endpoints).
-    Returns None when the intersection is empty.
+    The triple is None when the minimum is the empty word.  Ties on length
+    and word go to the smallest triple.  Returns None when the intersection
+    is empty.
     """
-    best: tuple[int, tuple[str, ...], Triple | None] | None = None
-    if include_epsilon and tg.grammar.epsilon_at_start:
-        for i, j in tg.start_pairs:
-            if i == j:
-                best = (0, (), None)
-                break
-    for triple in tg.start_triples():
-        entry = table.entries.get(triple)
-        if entry is None:
-            continue
-        candidate = (entry.length, entry.word, triple)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-    return best
+    if tg.empty_word_states():
+        return 0, (), None
+    return min(
+        (
+            (entry.length, entry.word, triple)
+            for triple, entry in table.entries.items()
+            if tg.is_start(triple)
+        ),
+        default=None,
+    )
 
 
-def realizable_start_pairs(
-    tg: TripleGrammar, table: ShortestTable, include_epsilon: bool = True
-) -> frozenset[tuple[str, str]]:
-    """Node pairs (i, j) whose intersection language from the start symbol
-    is nonempty, including empty-word pairs when applicable."""
-    start_pairs = set(tg.start_pairs)
-    pairs = {
-        (i, j)
-        for (head, i, j) in table.entries
-        if head == tg.grammar.start and (i, j) in start_pairs
-    }
-    if include_epsilon and tg.grammar.epsilon_at_start:
-        pairs.update((i, j) for i, j in tg.start_pairs if i == j)
+def realizable_start_pairs(tg: TripleGrammar, table: ShortestTable) -> frozenset[tuple[str, str]]:
+    """Start pairs (i, j) whose intersection language from the start symbol
+    is nonempty, including empty-word pairs."""
+    pairs = {triple[1:] for triple in table.entries if tg.is_start(triple)}
+    pairs.update((i, i) for i in tg.empty_word_states())
     return frozenset(pairs)
 
 

@@ -29,13 +29,6 @@ class ReachabilityRelation:
         start = self.grammar.start
         return frozenset((i, j) for (a, i, j) in self.facts if a == start)
 
-    def holds(self, source: str, target: str, nonterminal: str | None = None) -> bool:
-        nt = nonterminal if nonterminal is not None else self.grammar.start
-        return (nt, source, target) in self.facts
-
-    def pairs(self, nonterminal: str) -> frozenset[tuple[str, str]]:
-        return frozenset((i, j) for (a, i, j) in self.facts if a == nonterminal)
-
 
 def all_pairs_reach(g: CNFGrammar, d: LabeledGraph) -> ReachabilityRelation:
     """The realizable triples of the product of the grammar with the graph's

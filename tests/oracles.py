@@ -177,6 +177,42 @@ def materialize(tg, start) -> CNFGrammar:
     )
 
 
+def start_pairs_scan(tg) -> list[tuple[str, str]]:
+    """Every initial x accepting pair, in sorted order."""
+    nfa = tg.automaton
+    return [(i, j) for i in sorted(nfa.initial) for j in sorted(nfa.accepting)]
+
+
+def shortest_start_scan(tg, table):
+    """Reference for ``shortest_start``: scan every start pair in sorted
+    order, keeping the first of equal (length, word); the empty word wins
+    when the grammar derives it and some start pair has equal endpoints."""
+    pairs = start_pairs_scan(tg)
+    best = None
+    if tg.grammar.epsilon_at_start and any(i == j for i, j in pairs):
+        best = (0, (), None)
+    for i, j in pairs:
+        triple = (tg.grammar.start, i, j)
+        entry = table.entries.get(triple)
+        if entry is None:
+            continue
+        candidate = (entry.length, entry.word, triple)
+        if best is None or candidate[:2] < best[:2]:
+            best = candidate
+    return best
+
+
+def realizable_start_pairs_scan(tg, table) -> frozenset[tuple[str, str]]:
+    """Reference for ``realizable_start_pairs``: the start pairs whose start
+    triple is realizable, plus the equal-endpoint pairs when the grammar
+    derives the empty word."""
+    pairs = start_pairs_scan(tg)
+    found = {(i, j) for i, j in pairs if (tg.grammar.start, i, j) in table.entries}
+    if tg.grammar.epsilon_at_start:
+        found.update((i, j) for i, j in pairs if i == j)
+    return frozenset(found)
+
+
 def walks_up_to(graph: LabeledGraph, max_edges: int):
     """All walks with 1..max_edges edges as (source, target, word)."""
     adjacency: dict[str, list[tuple[str, str]]] = {}

@@ -90,6 +90,26 @@ def test_intersect_listing(capsys, anbn_file, tmp_path):
     assert ["S", "1", "3", "2"] in rows
 
 
+def test_intersect_listing_in_full(capsys, anbn_file, tmp_path):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("1\ta\t2\n2\tb\t3\n")
+    code, out, _ = run_cli(
+        capsys, "intersect", "--grammar", anbn_file, "--graph", str(graph)
+    )
+    assert code == 0
+    assert out == "S\t1\t3\t2\nT_a\t1\t2\t1\nT_b\t2\t3\t1\n"
+
+
+def test_shortest_witness_tie_takes_the_smallest_pair(capsys, anbn_file, tmp_path):
+    # two disjoint `a b` paths; the one listed first has the larger names
+    graph = tmp_path / "tie.tsv"
+    graph.write_text("p\ta\tq\nq\tb\tr\nb\ta\tc\nc\tb\td\n")
+    code, out, _ = run_cli(
+        capsys, "shortest", "--grammar", anbn_file, "--graph", str(graph), "--witness"
+    )
+    assert (code, out) == (0, "2\tab\npath\tb c d\n")
+
+
 def test_reach(capsys, tmp_path):
     grammar = tmp_path / "desc.cfg"
     grammar.write_text("Desc -> Child | Child Desc\nChild -> child\n")

@@ -1,7 +1,7 @@
 import pytest
 
 from ratindex.grammar import cyk_membership, is_valid_parse_tree, parse_grammar, to_cnf
-from ratindex.graphs import NFA, LabeledGraph
+from ratindex.graphs import NFA, LabeledGraph, parse_nfa
 from ratindex.intersection import (
     UnrealizableTripleError,
     bar_hillel,
@@ -14,7 +14,13 @@ from ratindex.intersection import (
 from ratindex.measure import two_cycle_family
 from ratindex.sampling import random_cnf_grammar, random_graph, random_nfa
 
-from oracles import materialize, shortest_intersection_bfs, walks_up_to
+from oracles import (
+    materialize,
+    realizable_start_pairs_scan,
+    shortest_intersection_bfs,
+    shortest_start_scan,
+    walks_up_to,
+)
 
 
 @pytest.fixture
@@ -283,3 +289,72 @@ def test_product_soundness_small_instances(rng):
         }
         assert engine_pairs == oracle_pairs
         done += 1
+
+
+AB_TEXT = "S -> a b\n"
+
+
+@pytest.mark.parametrize(
+    "automaton, winner, pairs",
+    [
+        # two disjoint `a b` paths; the one listed first has the larger names
+        (
+            LabeledGraph.from_edges(
+                [("p", "a", "q"), ("q", "b", "r"), ("b", "a", "c"), ("c", "b", "d")]
+            ),
+            ("b", "d"),
+            {("b", "d"), ("p", "r")},
+        ),
+        (
+            parse_nfa("initial: q p\naccepting: f\nq a q1\nq1 b f\np a p1\np1 b f\n"),
+            ("p", "f"),
+            {("p", "f"), ("q", "f")},
+        ),
+        (
+            parse_nfa("initial: s\naccepting: y x\ns a m\nm b y\nm b x\n"),
+            ("s", "x"),
+            {("s", "x"), ("s", "y")},
+        ),
+    ],
+)
+def test_shortest_start_tie_goes_to_the_smallest_pair(automaton, winner, pairs):
+    g = to_cnf(parse_grammar(AB_TEXT))
+    product = bar_hillel(g, automaton)
+    table = shortest_words(product)
+    assert shortest_start(product, table) == (2, ("a", "b"), (g.start,) + winner)
+    assert realizable_start_pairs(product, table) == pairs
+
+
+def test_epsilon_grammar_without_an_initial_accepting_state():
+    cnf = to_cnf(parse_grammar("S -> a S b |\n"))
+    assert cnf.epsilon_at_start
+    # 0 -a-> 1 -b-> 0 realizes (S, 0, 0), but 0 is not accepting, and the
+    # initial state 3 has only the empty path to itself
+    nfa = parse_nfa("initial: 0 3\naccepting: 2\n0 a 1\n1 b 0\n1 b 2\n")
+    product = bar_hillel(cnf, nfa)
+    table = shortest_words(product)
+    assert (cnf.start, "0", "0") in table
+    assert shortest_start(product, table) == (2, ("a", "b"), (cnf.start, "0", "2"))
+    assert realizable_start_pairs(product, table) == {("0", "2")}
+
+
+def test_start_queries_match_the_start_pair_scan(rng):
+    epsilon_grammars = 0
+    for trial in range(300):
+        g = random_cnf_grammar(
+            rng, max_nonterminals=3, max_terminals=2, epsilon_weight=0.25
+        )
+        epsilon_grammars += g.epsilon_at_start
+        letters = sorted(g.terminals)
+        if trial % 2:
+            automaton = random_nfa(rng, rng.randint(1, 4), letters)
+        else:
+            n = rng.randint(1, 11)
+            automaton = random_graph(rng, n, letters, rng.randint(1, 2 * n))
+        product = bar_hillel(g, automaton)
+        table = shortest_words(product)
+        assert shortest_start(product, table) == shortest_start_scan(product, table)
+        assert realizable_start_pairs(product, table) == realizable_start_pairs_scan(
+            product, table
+        )
+    assert epsilon_grammars >= 30
