@@ -119,18 +119,29 @@ class ProductClosure:
     """
 
     def __init__(self, g: CNFGrammar, transitions: Iterable[tuple[Hashable, str, Hashable]]):
+        # Realized triples per nonterminal, by source node and by target
+        # node, as (other node, length) in the order they were settled.
+        # Both stay alive for ``splits``; keying by nonterminal first stores
+        # no (nonterminal, node) tuple per key.
+        by_source: dict[str, dict[Hashable, list[tuple[Hashable, int]]]] = {
+            a: {} for a in g.nonterminals
+        }
+        by_target: dict[str, dict[Hashable, list[tuple[Hashable, int]]]] = {
+            a: {} for a in g.nonterminals
+        }
         terminal_rules: dict[str, list[tuple[int, str]]] = {}
         # Per nonterminal, the binary rules it is a child of, as (parent,
-        # partner, whether the partner is the right child).
-        joins: dict[str, list[tuple[str, str, bool]]] = {}
+        # the partner's realized triples by shared node, whether the partner
+        # is the right child).
+        joins: dict[str, list[tuple[str, dict, bool]]] = {}
         pair_rules: dict[str, list[tuple[int, str, str]]] = {}
         for pid, prod in enumerate(g.productions):
             if len(prod.rhs) == 1:
                 terminal_rules.setdefault(prod.rhs[0], []).append((pid, prod.lhs))
             elif len(prod.rhs) == 2:
                 b, c = prod.rhs
-                joins.setdefault(b, []).append((prod.lhs, c, True))
-                joins.setdefault(c, []).append((prod.lhs, b, False))
+                joins.setdefault(b, []).append((prod.lhs, by_source[c], True))
+                joins.setdefault(c, []).append((prod.lhs, by_target[b], False))
                 pair_rules.setdefault(prod.lhs, []).append((pid, b, c))
 
         # Lengths are tentative until their bucket is reached.
@@ -148,8 +159,6 @@ class ProductClosure:
                     edges[triple] = step
         buckets: dict[int, list[Triple]] = {1: list(edges)}
         pending = [1]  # heap of the lengths that have a bucket
-        by_source: dict[tuple, list[tuple[Hashable, int]]] = {}
-        by_target: dict[tuple, list[tuple[Hashable, int]]] = {}
 
         while pending:
             d = heapq.heappop(pending)
@@ -157,13 +166,10 @@ class ProductClosure:
                 if lengths[triple] != d:
                     continue  # settled earlier by a shorter derivation
                 head, i, j = triple
-                by_source.setdefault((head, i), []).append((j, d))
-                by_target.setdefault((head, j), []).append((i, d))
-                for parent, partner, on_right in joins.get(head, ()):
-                    if on_right:
-                        partners = by_source.get((partner, j), ())
-                    else:
-                        partners = by_target.get((partner, i), ())
+                by_source[head].setdefault(i, []).append((j, d))
+                by_target[head].setdefault(j, []).append((i, d))
+                for parent, partner_parts, on_right in joins.get(head, ()):
+                    partners = partner_parts.get(j if on_right else i, ())
                     for node, d2 in partners:
                         candidate = (parent, i, node) if on_right else (parent, node, j)
                         total = d + d2
@@ -181,22 +187,33 @@ class ProductClosure:
         self._pair_rules = pair_rules
         self._edges = edges
         self._by_source = by_source
+        self._by_target = by_target
 
     def splits(self, triple: Triple) -> list[tuple[int, Triple, Triple]]:
         """The binary steps (production id, left, right) that derive a
-        realizable triple at its shortest length.  Only realized left parts
-        shorter than the triple are walked: ``by_source`` lists them in the
-        order they were settled, shortest first."""
+        realizable triple at its shortest length.  Per rule, only the shorter
+        of the realized left parts (``by_source``) and right parts
+        (``by_target``) is walked, each listed in the order it was settled,
+        shortest first, up to the triple's length."""
         head, i, j = triple
         d = self.lengths[triple]
         lengths = self.lengths
         found = []
         for pid, b, c in self._pair_rules.get(head, ()):
-            for k, dl in self._by_source.get((b, i), ()):
-                if dl >= d:
-                    break
-                if lengths.get((c, k, j)) == d - dl:
-                    found.append((pid, (b, i, k), (c, k, j)))
+            lefts = self._by_source[b].get(i, ())
+            rights = self._by_target[c].get(j, ())
+            if len(lefts) <= len(rights):
+                for k, dl in lefts:
+                    if dl >= d:
+                        break
+                    if lengths.get((c, k, j)) == d - dl:
+                        found.append((pid, (b, i, k), (c, k, j)))
+            else:
+                for k, dr in rights:
+                    if dr >= d:
+                        break
+                    if lengths.get((b, i, k)) == d - dr:
+                        found.append((pid, (b, i, k), (c, k, j)))
         return found
 
     def entry(self, triple: Triple) -> ShortestEntry:
@@ -213,7 +230,7 @@ class ProductClosure:
                     for _pid, left, right in found:
                         stack += (left, right)
             for t in sorted(steps, key=self.lengths.__getitem__):
-                self._resolve(t, steps[t])
+                self._resolve(t, steps.pop(t))  # frees each split list once used
         return entries[triple]
 
     def resolve_all(self) -> dict[Triple, ShortestEntry]:

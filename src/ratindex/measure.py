@@ -21,7 +21,7 @@ import numpy as np
 from .errors import RatIndexError
 from .grammar import CNFGrammar
 from .graphs import NFA
-from .intersection import bar_hillel, shortest_start, shortest_words
+from .intersection import ProductClosure, bar_hillel
 from .sampling import random_nfa
 
 log = logging.getLogger(__name__)
@@ -107,37 +107,18 @@ def two_cycle_family(p: int, q: int) -> NFA:
     )
 
 
-def _encode(
-    m: int, transitions: frozenset[tuple[int, int, int]], initial: frozenset[int],
-    accepting: frozenset[int],
-) -> tuple:
-    return (m, tuple(sorted(transitions)), tuple(sorted(initial)), tuple(sorted(accepting)))
-
-
-def _is_canonical(
-    m: int,
-    transitions: frozenset[tuple[int, int, int]],
-    initial: frozenset[int],
-    accepting: frozenset[int],
-) -> bool:
-    me = _encode(m, transitions, initial, accepting)
-    for perm in itertools.permutations(range(m)):
-        relabeled = _encode(
-            m,
-            frozenset((perm[s], a, perm[t]) for s, a, t in transitions),
-            frozenset(perm[s] for s in initial),
-            frozenset(perm[s] for s in accepting),
-        )
-        if relabeled < me:
-            return False
-    return True
-
-
 def enumerate_nfas(
     max_states: int, alphabet: Sequence[str], budget: int | None = None
 ) -> Iterator[tuple[str, NFA]]:
     """All NFAs with 1..max_states states over the alphabet, one per
     isomorphism class (state permutations), with stable string ids.
+
+    An automaton is kept when no state permutation gives it a smaller
+    encoding (sorted transitions, then sorted initial and accepting
+    states).  The transitions decide first, so each transition set is
+    tested once: it is skipped whole when a permutation sorts it lower, and
+    otherwise its initial/accepting pairs are compared only under the
+    permutations that map it to itself.
 
     Only automata with nonempty initial and accepting sets are produced;
     the rest have empty languages.  Raises BudgetExceededError via the
@@ -146,36 +127,56 @@ def enumerate_nfas(
     letters = tuple(sorted(alphabet))
     produced = 0
     for m in range(1, max_states + 1):
+        states = tuple("q%d" % i for i in range(m))
+        # Cells are listed in sorted order, so a transition set sorts as the
+        # list of its cell indices.
         cells = [(s, ai, t) for s in range(m) for ai in range(len(letters)) for t in range(m)]
+        rank = {cell: b for b, cell in enumerate(cells)}
         state_sets = [
-            frozenset(c)
-            for size in range(1, m + 1)
-            for c in itertools.combinations(range(m), size)
+            c for size in range(1, m + 1) for c in itertools.combinations(range(m), size)
+        ]
+        # Every permutation but the identity, which comes first: its image
+        # of each cell index and of each state set.
+        images = [
+            (
+                [rank[(perm[s], ai, perm[t])] for s, ai, t in cells],
+                [tuple(sorted(perm[s] for s in c)) for c in state_sets],
+            )
+            for perm in itertools.islice(itertools.permutations(range(m)), 1, None)
         ]
         for bits in range(1 << len(cells)):
-            transitions = frozenset(
-                cells[b] for b in range(len(cells)) if bits & (1 << b)
-            )
-            for initial in state_sets:
-                for accepting in state_sets:
-                    if not _is_canonical(m, transitions, initial, accepting):
+            present = [b for b in range(len(cells)) if bits >> b & 1]
+            automorphisms = []
+            for cell_image, set_image in images:
+                relabeled = sorted(cell_image[b] for b in present)
+                if relabeled < present:
+                    break
+                if relabeled == present:
+                    automorphisms.append(set_image)
+            else:
+                transitions = frozenset(
+                    (states[s], letters[ai], states[t])
+                    for s, ai, t in (cells[b] for b in present)
+                )
+                for (x, initial), (y, accepting) in itertools.product(
+                    enumerate(state_sets), repeat=2
+                ):
+                    if any(
+                        (image[x], image[y]) < (initial, accepting) for image in automorphisms
+                    ):
                         continue
-                    states = tuple("q%d" % i for i in range(m))
                     nfa = NFA(
                         frozenset(states),
                         frozenset(letters),
-                        frozenset(
-                            (states[s], letters[ai], states[t])
-                            for s, ai, t in transitions
-                        ),
+                        transitions,
                         frozenset(states[s] for s in initial),
                         frozenset(states[s] for s in accepting),
                     )
                     ident = "enum_m%d_t%x_i%s_f%s" % (
                         m,
                         bits,
-                        "".join(str(s) for s in sorted(initial)),
-                        "".join(str(s) for s in sorted(accepting)),
+                        "".join(map(str, initial)),
+                        "".join(map(str, accepting)),
                     )
                     produced += 1
                     yield ident, nfa
@@ -204,17 +205,35 @@ def _automata_for(
 
 
 def _evaluate_automaton(
-    job: tuple[CNFGrammar, str, NFA]
-) -> tuple[str, int, tuple[str, ...]] | None:
-    """Shortest intersection word for one automaton, or None when empty."""
-    grammar, ident, nfa = job
+    grammar: CNFGrammar, nfa: NFA
+) -> tuple[int, tuple[str, ...]] | None:
+    """Length and word of ``shortest_start`` for one automaton, or None when
+    the intersection is empty.  Only the start triples of minimum length
+    are resolved."""
     product = bar_hillel(grammar, nfa)
-    table = shortest_words(product)
-    best = shortest_start(product, table)
-    if best is None:
+    if product.empty_word_states():
+        return 0, ()
+    closure = ProductClosure(grammar, nfa.transitions)
+    lengths = closure.lengths
+    starts = [triple for triple in lengths if product.is_start(triple)]
+    if not starts:
         return None
-    length, word, _ = best
-    return ident, length, word
+    shortest = min(map(lengths.__getitem__, starts))
+    return shortest, min(
+        closure.entry(triple).word for triple in starts if lengths[triple] == shortest
+    )
+
+
+_worker_grammar: CNFGrammar | None = None  # set in each pool worker
+
+
+def _set_worker_grammar(grammar: CNFGrammar) -> None:
+    global _worker_grammar
+    _worker_grammar = grammar
+
+
+def _evaluate_job(job: tuple[str, NFA]) -> tuple[int, tuple[str, ...]] | None:
+    return _evaluate_automaton(_worker_grammar, job[1])
 
 
 def measure_rho(
@@ -227,7 +246,9 @@ def measure_rho(
 
     Automata with empty intersections are skipped.  The reduction is
     order-insensitive (max on value, ties to the smallest witness word then
-    id), so results do not depend on the worker count.
+    id), so results do not depend on the worker count.  A pool is started
+    only when the sweep has more than one automaton; each worker receives
+    the grammar once.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -245,51 +266,43 @@ def measure_rho(
             )
 
     budget = strategy.budget if exhaustive else None
-    jobs = ((g, ident, nfa) for ident, nfa in _automata_for(strategy, n, alphabet))
+    automata = _automata_for(strategy, n, alphabet)
+    tested_automata = automata if budget is None else itertools.islice(automata, budget)
 
     best: tuple[int, tuple[str, ...], str, NFA] | None = None
     tested = 0
-    truncated = False
 
-    def consume(results: Iterable, autos: list[tuple[str, NFA]]) -> None:
+    def consume(results: Iterable[tuple[tuple[str, NFA], tuple | None]]) -> None:
         nonlocal best, tested
-        for (ident, nfa), result in zip(autos, results):
+        for (ident, nfa), result in results:
             tested += 1
             if result is None:
                 continue
-            _, length, word = result
-            candidate = (length, word, ident, nfa)
+            length, word = result
             if (
                 best is None
-                or candidate[0] > best[0]
-                or (candidate[0] == best[0] and candidate[1:3] < best[1:3])
+                or length > best[0]
+                or (length == best[0] and (word, ident) < best[1:3])
             ):
-                best = candidate
+                best = (length, word, ident, nfa)
 
-    if workers <= 1:
-        for job in jobs:
-            if budget is not None and tested >= budget:
-                truncated = True
-                break
-            consume([_evaluate_automaton(job)], [(job[1], job[2])])
+    # Automata go to the pool in batches; a sweep of one automaton starts none.
+    batch_size = 64 * max(workers, 1)
+    batch = list(itertools.islice(tested_automata, batch_size))
+    if workers <= 1 or len(batch) <= 1:
+        consume(
+            (auto, _evaluate_automaton(g, auto[1]))
+            for auto in itertools.chain(batch, tested_automata)
+        )
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batch: list[tuple[CNFGrammar, str, NFA]] = []
-            for job in jobs:
-                if budget is not None and tested + len(batch) >= budget:
-                    truncated = True
-                    break
-                batch.append(job)
-                if len(batch) >= 64 * workers:
-                    consume(
-                        pool.map(_evaluate_automaton, batch),
-                        [(j[1], j[2]) for j in batch],
-                    )
-                    batch = []
-            if batch:
-                consume(
-                    pool.map(_evaluate_automaton, batch), [(j[1], j[2]) for j in batch]
-                )
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_worker_grammar, initargs=(g,)
+        ) as pool:
+            while batch:
+                chunksize = max(1, len(batch) // (4 * workers))
+                consume(zip(batch, pool.map(_evaluate_job, batch, chunksize=chunksize)))
+                batch = list(itertools.islice(tested_automata, batch_size))
+    truncated = budget is not None and next(automata, None) is not None
 
     estimate = RhoEstimate(
         n=n,

@@ -213,6 +213,66 @@ def realizable_start_pairs_scan(tg, table) -> frozenset[tuple[str, str]]:
     return frozenset(found)
 
 
+def _encode(
+    m: int, transitions: frozenset[tuple[int, int, int]], initial: frozenset[int],
+    accepting: frozenset[int],
+) -> tuple:
+    return (m, tuple(sorted(transitions)), tuple(sorted(initial)), tuple(sorted(accepting)))
+
+
+def _is_canonical(
+    m: int,
+    transitions: frozenset[tuple[int, int, int]],
+    initial: frozenset[int],
+    accepting: frozenset[int],
+) -> bool:
+    me = _encode(m, transitions, initial, accepting)
+    for perm in itertools.permutations(range(m)):
+        relabeled = _encode(
+            m,
+            frozenset((perm[s], a, perm[t]) for s, a, t in transitions),
+            frozenset(perm[s] for s in initial),
+            frozenset(perm[s] for s in accepting),
+        )
+        if relabeled < me:
+            return False
+    return True
+
+
+def enumerate_nfas_bruteforce(max_states: int, alphabet):
+    """Reference for ``measure.enumerate_nfas``: every (transitions, initial,
+    accepting) candidate in the same order, kept when no state permutation
+    gives it a smaller encoding.  Yields (id, transitions, initial,
+    accepting) with state names q0, q1, ..."""
+    letters = tuple(sorted(alphabet))
+    for m in range(1, max_states + 1):
+        states = tuple("q%d" % i for i in range(m))
+        cells = [(s, ai, t) for s in range(m) for ai in range(len(letters)) for t in range(m)]
+        state_sets = [
+            frozenset(c)
+            for size in range(1, m + 1)
+            for c in itertools.combinations(range(m), size)
+        ]
+        for bits in range(1 << len(cells)):
+            transitions = frozenset(cells[b] for b in range(len(cells)) if bits & (1 << b))
+            for initial in state_sets:
+                for accepting in state_sets:
+                    if not _is_canonical(m, transitions, initial, accepting):
+                        continue
+                    ident = "enum_m%d_t%x_i%s_f%s" % (
+                        m,
+                        bits,
+                        "".join(str(s) for s in sorted(initial)),
+                        "".join(str(s) for s in sorted(accepting)),
+                    )
+                    yield (
+                        ident,
+                        frozenset((states[s], letters[ai], states[t]) for s, ai, t in transitions),
+                        frozenset(states[s] for s in initial),
+                        frozenset(states[s] for s in accepting),
+                    )
+
+
 def walks_up_to(graph: LabeledGraph, max_edges: int):
     """All walks with 1..max_edges edges as (source, target, word)."""
     adjacency: dict[str, list[tuple[str, str]]] = {}

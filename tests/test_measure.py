@@ -1,4 +1,6 @@
+import itertools
 import math
+
 import pytest
 
 from ratindex.bounds import (
@@ -9,20 +11,25 @@ from ratindex.bounds import (
     superlinear_bound,
     ultralinear_bound,
 )
+from ratindex import measure
 from ratindex.grammar import parse_grammar, to_cnf
+from ratindex.graphs import parse_nfa
+from ratindex.intersection import bar_hillel, shortest_start, shortest_words
 from ratindex.measure import (
     BudgetExceededError,
     DegenerateInputError,
     Exhaustive,
     RandomSample,
     TwoCycle,
+    _evaluate_automaton,
     enumerate_nfas,
     fit_growth,
     measure_rho,
     two_cycle_family,
 )
+from ratindex.sampling import random_cnf_grammar, random_nfa
 
-from oracles import shortest_intersection_bfs
+from oracles import enumerate_nfas_bruteforce, shortest_intersection_bfs
 
 
 # --- bound formulas -----------------------------------------------------------
@@ -198,3 +205,81 @@ def test_measured_values_dominated_by_calibrated_linear_bound(anbn_cnf):
     for (p, q), ratio in zip(pairs, ratios):
         n = p + q
         assert ratio * linear_bound().value(n) <= calibrated * linear_bound().value(n)
+
+
+# --- sweep internals ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "max_states,alphabet,limit",
+    [(2, "a", None), (2, "ab", None), (3, "a", None), (3, "ab", 20_000)],
+)
+def test_enumeration_matches_the_bruteforce_oracle(max_states, alphabet, limit):
+    found = [
+        (ident, nfa.transitions, nfa.initial, nfa.accepting)
+        for ident, nfa in itertools.islice(enumerate_nfas(max_states, alphabet), limit)
+    ]
+    expected = list(itertools.islice(enumerate_nfas_bruteforce(max_states, alphabet), limit))
+    assert found == expected
+
+
+def test_sweep_evaluation_matches_the_full_table(rng):
+    epsilon_grammars = overlapping = nonempty = tied = 0
+    for _ in range(300):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2)
+        nfa = random_nfa(rng, rng.randint(1, 5), sorted(g.terminals))
+        product = bar_hillel(g, nfa)
+        table = shortest_words(product)
+        best = shortest_start(product, table)
+        assert _evaluate_automaton(g, nfa) == (best and best[:2])
+        epsilon_grammars += g.epsilon_at_start
+        overlapping += bool(nfa.initial & nfa.accepting)
+        if best is not None and best[0] > 0:
+            nonempty += 1
+            starts = [t for t, e in table.entries.items() if product.is_start(t)]
+            tied += sum(table.length(t) == best[0] for t in starts) > 1
+    assert epsilon_grammars >= 30 and overlapping >= 30
+    assert nonempty >= 100 and tied >= 30
+
+
+def test_sweep_evaluation_takes_the_smallest_tied_word():
+    # six start triples of length 1, one per letter; the state that reads
+    # "a" moves, so no order of the triples puts the winner first every time
+    letters = "abcdef"
+    g = to_cnf(parse_grammar("S -> %s\n" % " | ".join(letters)))
+    states = ["q%d" % k for k in range(len(letters))]
+    for shift in range(len(letters)):
+        text = "initial: %s\naccepting: f\n" % " ".join(states)
+        text += "".join(
+            "%s %s f\n" % (state, letters[(k + shift) % len(letters)])
+            for k, state in enumerate(states)
+        )
+        assert _evaluate_automaton(g, parse_nfa(text)) == (1, ("a",))
+
+
+def test_pool_matches_serial_beyond_one_batch(anbn_cnf):
+    strategy = RandomSample(count=300, seed=4)
+    serial = measure_rho(anbn_cnf, 4, strategy, workers=1)
+    assert serial.tested_count == 300 and serial.value is not None
+    assert measure_rho(anbn_cnf, 4, strategy, workers=2) == serial
+
+
+def test_pool_matches_serial_through_the_budget(anbn_cnf):
+    partials = []
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceededError) as err:
+            measure_rho(anbn_cnf, 3, Exhaustive(budget=500), workers=workers)
+        partials.append(err.value.partial)
+    serial, parallel = partials
+    assert serial.tested_count == 500 and not serial.exhaustive
+    assert serial.value is not None
+    assert parallel == serial
+
+
+def test_one_automaton_sweep_starts_no_pool(anbn_cnf, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(measure, "ProcessPoolExecutor", no_pool)
+    estimate = measure_rho(anbn_cnf, 8, TwoCycle(3, 5), workers=4)
+    assert estimate.value == 30
