@@ -368,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--pairs", help="two-cycle strategy: e.g. 2:3,3:4,3:5")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; sweeps always run in one process",
+    )
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--cap-exhaustive-n", type=int, default=3)
     p.add_argument("--fit", action="store_true", help="report the log-log slope")

@@ -4,19 +4,19 @@ For a fixed context-free language L, the rational index at n is the largest
 "shortest word of L intersected with K" over regular K recognized by NFAs
 with at most n states (empty intersections do not count).  We measure it by
 sweeping automata: exhaustively for tiny n, by seeded random sampling, or
-over named worst-case families.
+over named worst-case families.  Sweeps run in the calling process, one
+automaton after another.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import random
-from concurrent.futures import ProcessPoolExecutor
+import statistics
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .errors import RatIndexError
 from .grammar import CNFGrammar
@@ -224,18 +224,6 @@ def _evaluate_automaton(
     )
 
 
-_worker_grammar: CNFGrammar | None = None  # set in each pool worker
-
-
-def _set_worker_grammar(grammar: CNFGrammar) -> None:
-    global _worker_grammar
-    _worker_grammar = grammar
-
-
-def _evaluate_job(job: tuple[str, NFA]) -> tuple[int, tuple[str, ...]] | None:
-    return _evaluate_automaton(_worker_grammar, job[1])
-
-
 def measure_rho(
     g: CNFGrammar,
     n: int,
@@ -246,9 +234,8 @@ def measure_rho(
 
     Automata with empty intersections are skipped.  The reduction is
     order-insensitive (max on value, ties to the smallest witness word then
-    id), so results do not depend on the worker count.  A pool is started
-    only when the sweep has more than one automaton; each worker receives
-    the grammar once.
+    id).  The sweep always runs in the calling process, one automaton after
+    another; ``workers`` is accepted for compatibility and has no effect.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -271,37 +258,18 @@ def measure_rho(
 
     best: tuple[int, tuple[str, ...], str, NFA] | None = None
     tested = 0
-
-    def consume(results: Iterable[tuple[tuple[str, NFA], tuple | None]]) -> None:
-        nonlocal best, tested
-        for (ident, nfa), result in results:
-            tested += 1
-            if result is None:
-                continue
-            length, word = result
-            if (
-                best is None
-                or length > best[0]
-                or (length == best[0] and (word, ident) < best[1:3])
-            ):
-                best = (length, word, ident, nfa)
-
-    # Automata go to the pool in batches; a sweep of one automaton starts none.
-    batch_size = 64 * max(workers, 1)
-    batch = list(itertools.islice(tested_automata, batch_size))
-    if workers <= 1 or len(batch) <= 1:
-        consume(
-            (auto, _evaluate_automaton(g, auto[1]))
-            for auto in itertools.chain(batch, tested_automata)
-        )
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_worker_grammar, initargs=(g,)
-        ) as pool:
-            while batch:
-                chunksize = max(1, len(batch) // (4 * workers))
-                consume(zip(batch, pool.map(_evaluate_job, batch, chunksize=chunksize)))
-                batch = list(itertools.islice(tested_automata, batch_size))
+    for ident, nfa in tested_automata:
+        tested += 1
+        result = _evaluate_automaton(g, nfa)
+        if result is None:
+            continue
+        length, word = result
+        if (
+            best is None
+            or length > best[0]
+            or (length == best[0] and (word, ident) < best[1:3])
+        ):
+            best = (length, word, ident, nfa)
     truncated = budget is not None and next(automata, None) is not None
 
     estimate = RhoEstimate(
@@ -326,11 +294,10 @@ def fit_growth(points: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of log(value) against log(n)."""
     if len(points) < 4:
         raise DegenerateInputError("need at least four points, got %d" % len(points))
-    ns = np.array([p[0] for p in points], dtype=float)
-    values = np.array([p[1] for p in points], dtype=float)
-    if np.any(ns <= 0) or np.any(values <= 0):
+    if any(n <= 0 or value <= 0 for n, value in points):
         raise DegenerateInputError("sizes and values must be positive")
-    if len(set(ns.tolist())) < 2:
+    if len({n for n, _ in points}) < 2:
         raise DegenerateInputError("all sizes are equal; slope is undefined")
-    slope, _ = np.polyfit(np.log(ns), np.log(values), 1)
-    return float(slope)
+    return statistics.linear_regression(
+        [math.log(n) for n, _ in points], [math.log(value) for _, value in points]
+    ).slope

@@ -198,6 +198,30 @@ def test_measure_rho_two_cycle_csv(capsys, anbn_file):
     assert lines[2] == "7,24,false,aaaaaaaaaaaabbbbbbbbbbbb,two_cycle_3_4"
 
 
+def test_measure_rho_fit_slope(capsys, anbn_file):
+    code, out, err = run_cli(
+        capsys,
+        "measure-rho",
+        "--grammar",
+        anbn_file,
+        "--strategy",
+        "two-cycle",
+        "--pairs",
+        "2:3,3:4,3:5,4:5,5:6,5:7",
+        "--fit",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "5,12,false,%s,two_cycle_2_3" % ("a" * 6 + "b" * 6),
+        "7,24,false,%s,two_cycle_3_4" % ("a" * 12 + "b" * 12),
+        "8,30,false,%s,two_cycle_3_5" % ("a" * 15 + "b" * 15),
+        "9,40,false,%s,two_cycle_4_5" % ("a" * 20 + "b" * 20),
+        "11,60,false,%s,two_cycle_5_6" % ("a" * 30 + "b" * 30),
+        "12,70,false,%s,two_cycle_5_7" % ("a" * 35 + "b" * 35),
+    ]
+    assert err == "# loglog_slope=2.0262\n"
+
+
 def test_measure_rho_deterministic_across_workers(capsys, anbn_file):
     argv = [
         "measure-rho",

@@ -1,5 +1,8 @@
 import itertools
 import math
+import multiprocessing.process
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +14,6 @@ from ratindex.bounds import (
     superlinear_bound,
     ultralinear_bound,
 )
-from ratindex import measure
 from ratindex.grammar import parse_grammar, to_cnf
 from ratindex.graphs import parse_nfa
 from ratindex.intersection import bar_hillel, shortest_start, shortest_words
@@ -276,10 +278,26 @@ def test_pool_matches_serial_through_the_budget(anbn_cnf):
     assert parallel == serial
 
 
-def test_one_automaton_sweep_starts_no_pool(anbn_cnf, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+def test_sweeps_start_no_process(anbn_cnf, monkeypatch):
+    def no_process(self):
+        raise AssertionError("a process was started")
 
-    monkeypatch.setattr(measure, "ProcessPoolExecutor", no_pool)
-    estimate = measure_rho(anbn_cnf, 8, TwoCycle(3, 5), workers=4)
-    assert estimate.value == 30
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    sampled = measure_rho(anbn_cnf, 4, RandomSample(count=300, seed=4), workers=2)
+    assert (sampled.value, sampled.witness_id, sampled.tested_count) == (
+        8, "random_s4_141", 300
+    )
+    assert measure_rho(anbn_cnf, 8, TwoCycle(3, 5), workers=4).value == 30
+
+
+def test_import_loads_no_numpy_or_process_modules():
+    code = (
+        "import sys, ratindex\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'numpy', 'multiprocessing', 'concurrent'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
