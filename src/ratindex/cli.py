@@ -11,18 +11,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import (
-    dimension_bound,
-    linear_bound,
-    oscillation_bound,
-    superlinear_bound,
-    ultralinear_bound,
-)
+from .bounds import BoundFormula
 from .classify import classify_grammar
 from .datalog import evaluate as datalog_evaluate
 from .datalog import parse_chain_program
 from .errors import RatIndexError
 from .grammar import (
+    cyk_membership,
     cyk_parse,
     format_word,
     grammar_to_text,
@@ -74,8 +69,7 @@ def cmd_cnf(args) -> int:
 def cmd_member(args) -> int:
     g = to_cnf(_load_grammar(args.grammar))
     word = parse_word(g, args.word)
-    tree = cyk_parse(g, word)
-    print("true" if tree is not None else "false")
+    print("true" if cyk_membership(g, word) else "false")
     return 0
 
 
@@ -198,16 +192,7 @@ def cmd_measure_rho(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.family == "linear":
-        formula = linear_bound(args.constant)
-    elif args.family == "superlinear":
-        formula = superlinear_bound(args.constant)
-    elif args.family == "dimension":
-        formula = dimension_bound(args.nonterminals, args.degree, args.constant)
-    elif args.family == "oscillation":
-        formula = oscillation_bound(args.nonterminals, args.degree, args.constant)
-    else:
-        formula = ultralinear_bound(args.degree, args.constant)
+    formula = BoundFormula(args.family, args.constant, args.nonterminals, args.degree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "bound"])
     for n in range(args.n_min, args.n_max + 1):
@@ -224,7 +209,6 @@ def cmd_datalog_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .grammar import cyk_membership
     from .wellnested import WellNestedWord, all_wellnested_words, matching_pairs
 
     failures = 0

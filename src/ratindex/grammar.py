@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import RatIndexError
 from .intersection import ProductClosure, derivation_tree
@@ -208,7 +208,6 @@ def parse_grammar(text: str) -> Grammar:
     heads = {lhs for lhs, _, _ in raw_rules}
     productions: list[Production] = []
     terminals: set[str] = set()
-    seen: set[Production] = set()
     for lhs, tokens, lineno in raw_rules:
         alternatives: list[list[str]] = [[]]
         for kind, value, col in tokens:
@@ -235,11 +234,7 @@ def parse_grammar(text: str) -> Grammar:
                     alternatives[-1].append(value)
             else:
                 raise GrammarSyntaxError("unexpected %r" % value, lineno, col)
-        for body in alternatives:
-            prod = Production(lhs, tuple(body))
-            if prod not in seen:
-                seen.add(prod)
-                productions.append(prod)
+        productions.extend(Production(lhs, tuple(body)) for body in alternatives)
 
     clash = terminals & heads
     if clash:
@@ -249,7 +244,7 @@ def parse_grammar(text: str) -> Grammar:
     return Grammar(
         terminals=frozenset(terminals),
         nonterminals=frozenset(heads),
-        productions=tuple(productions),
+        productions=tuple(dict.fromkeys(productions)),
         start=raw_rules[0][0],
     )
 
@@ -268,17 +263,14 @@ def _format_symbol(sym: str, nonterminals: frozenset[str]) -> str:
 
 def grammar_to_text(g: Grammar) -> str:
     """Render a grammar in the file format (start symbol's rules first)."""
-    order: list[str] = [g.start]
-    for prod in g.productions:
-        if prod.lhs not in order:
-            order.append(prod.lhs)
+    index = g.by_lhs()
     lines = []
-    for lhs in order:
-        bodies = [p.rhs for p in g.productions if p.lhs == lhs]
-        if not bodies:
+    for lhs in dict.fromkeys([g.start, *index]):
+        if lhs not in index:
             continue
         rendered = [
-            " ".join(_format_symbol(s, g.nonterminals) for s in body) for body in bodies
+            " ".join(_format_symbol(s, g.nonterminals) for s in p.rhs)
+            for _, p in index[lhs]
         ]
         lines.append("%s -> %s" % (lhs, " | ".join(rendered)))
     return "\n".join(lines) + "\n"
@@ -289,34 +281,44 @@ def grammar_to_text(g: Grammar) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _deriving(g: Grammar, base: frozenset[str]) -> frozenset[str]:
+    """Nonterminals that derive a word over ``base``.
+
+    Each production counts its body symbols outside ``base`` that are not
+    yet known to derive, and fires when the count reaches zero, so the cost
+    is linear in the size of the grammar.
+    """
+    missing: list[int] = []
+    waiting: dict[str, list[int]] = {}
+    ready = []
+    for i, (lhs, rhs) in enumerate(g.productions):
+        need = [s for s in rhs if s not in base]
+        missing.append(len(need))
+        for sym in need:
+            waiting.setdefault(sym, []).append(i)
+        if not need:
+            ready.append(lhs)
+    derived: set[str] = set()
+    while ready:
+        nt = ready.pop()
+        if nt in derived:
+            continue
+        derived.add(nt)
+        for i in waiting.get(nt, ()):
+            missing[i] -= 1
+            if not missing[i]:
+                ready.append(g.productions[i].lhs)
+    return frozenset(derived)
+
+
 def generating_nonterminals(g: Grammar) -> frozenset[str]:
     """Nonterminals that derive at least one terminal word."""
-    generating: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for prod in g.productions:
-            if prod.lhs in generating:
-                continue
-            if all(s in g.terminals or s in generating for s in prod.rhs):
-                generating.add(prod.lhs)
-                changed = True
-    return frozenset(generating)
+    return _deriving(g, g.terminals)
 
 
 def nullable_nonterminals(g: Grammar) -> frozenset[str]:
     """Nonterminals that derive the empty word."""
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for prod in g.productions:
-            if prod.lhs in nullable:
-                continue
-            if all(s in nullable for s in prod.rhs):
-                nullable.add(prod.lhs)
-                changed = True
-    return frozenset(nullable)
+    return _deriving(g, frozenset())
 
 
 def reachable_symbols(g: Grammar) -> frozenset[str]:
@@ -357,26 +359,15 @@ def trim_useless(g: Grammar) -> Grammar:
     )
 
 
-def _fresh_name(base: str, used: set[str]) -> str:
-    if base not in used:
-        used.add(base)
-        return base
-    for i in itertools.count(1):
-        candidate = "%s%d" % (base, i)
+def _fresh_names(base: str, used: set[str]) -> Iterator[str]:
+    """Names ``base``, ``base1``, ``base2``, ... not in ``used``, each added
+    to ``used`` as it is handed out.  Since ``used`` only grows, one
+    generator gives the same names as restarting the probe for every name."""
+    numbered = ("%s%d" % (base, i) for i in itertools.count(1))
+    for candidate in itertools.chain((base,), numbered):
         if candidate not in used:
             used.add(candidate)
-            return candidate
-    raise AssertionError("unreachable")
-
-
-def _dedup(prods: Iterable[Production]) -> list[Production]:
-    seen: set[Production] = set()
-    out = []
-    for p in prods:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+            yield candidate
 
 
 def to_cnf(g: Grammar) -> CNFGrammar:
@@ -395,93 +386,56 @@ def to_cnf(g: Grammar) -> CNFGrammar:
     start = g.start
     prods = list(g.productions)
     if derives_epsilon:
-        start = _fresh_name(g.start + "0", used)
+        start = next(_fresh_names(g.start + "0", used))
         prods.insert(0, Production(start, (g.start,)))
 
-    # Epsilon elimination: every way of dropping nullable occurrences.
-    expanded: list[Production] = []
-    for prod in prods:
-        nullable_positions = [i for i, s in enumerate(prod.rhs) if s in nullable]
+    # Epsilon elimination: every way of dropping nullable occurrences,
+    # collected per head in first-appearance order.
+    bodies: dict[str, dict[tuple[str, ...], None]] = {}
+    for lhs, rhs in prods:
+        nullable_positions = [i for i, s in enumerate(rhs) if s in nullable]
         for mask in range(1 << len(nullable_positions)):
             dropped = {
-                pos
-                for bit, pos in enumerate(nullable_positions)
-                if mask & (1 << bit)
+                pos for bit, pos in enumerate(nullable_positions) if mask >> bit & 1
             }
-            body = tuple(s for i, s in enumerate(prod.rhs) if i not in dropped)
+            body = tuple(s for i, s in enumerate(rhs) if i not in dropped)
             if body:
-                expanded.append(Production(prod.lhs, body))
-    expanded = _dedup(expanded)
+                bodies.setdefault(lhs, {})[body] = None
 
-    # Unit elimination.
-    heads: list[str] = []
-    for prod in expanded:
-        if prod.lhs not in heads:
-            heads.append(prod.lhs)
-    unit_targets: dict[str, list[str]] = {}
-    for head in heads:
-        closure = [head]
-        frontier = [head]
-        while frontier:
-            current = frontier.pop(0)
-            for prod in expanded:
-                if prod.lhs != current:
-                    continue
-                if len(prod.rhs) == 1 and prod.rhs[0] in g.nonterminals:
-                    target = prod.rhs[0]
-                    if target not in closure:
-                        closure.append(target)
-                        frontier.append(target)
-        unit_targets[head] = closure
+    # Unit elimination: one breadth-first walk per head over its unit
+    # targets, taking each reached nonterminal's non-unit bodies.
     without_units: list[Production] = []
-    for head in heads:
-        for target in unit_targets[head]:
-            for prod in expanded:
-                if prod.lhs != target:
-                    continue
-                if len(prod.rhs) == 1 and prod.rhs[0] in g.nonterminals:
-                    continue
-                without_units.append(Production(head, prod.rhs))
-    without_units = _dedup(without_units)
-
-    # Lift terminals out of bodies of length two or more.
-    wrappers: dict[str, str] = {}
-    lifted: list[Production] = []
-    wrapper_rules: list[Production] = []
-    for prod in without_units:
-        if len(prod.rhs) >= 2:
-            body = []
-            for sym in prod.rhs:
-                if sym in g.terminals:
-                    if sym not in wrappers:
-                        wrappers[sym] = _fresh_name("T_%s" % sym, used)
-                        wrapper_rules.append(Production(wrappers[sym], (sym,)))
-                    body.append(wrappers[sym])
+    for head in bodies:
+        reached = [head]
+        seen = {head}
+        for target in reached:
+            for body in bodies.get(target, ()):
+                if len(body) == 1 and body[0] in g.nonterminals:
+                    if body[0] not in seen:
+                        seen.add(body[0])
+                        reached.append(body[0])
                 else:
-                    body.append(sym)
-            lifted.append(Production(prod.lhs, tuple(body)))
-        else:
-            lifted.append(prod)
+                    without_units.append(Production(head, body))
 
-    # Binarize long bodies.
+    # Lift terminals out of bodies of length two or more, then binarize.
+    wrappers: dict[str, str] = {}
+    helpers = _fresh_names("X", used)
     binary: list[Production] = []
-    for prod in lifted:
-        body = prod.rhs
-        if len(body) <= 2:
-            binary.append(prod)
-            continue
-        head = prod.lhs
-        rest = list(body)
-        while len(rest) > 2:
-            helper = _fresh_name("X", used)
-            binary.append(Production(head, (rest[0], helper)))
+    for head, body in dict.fromkeys(without_units):
+        if len(body) >= 2:
+            for sym in body:
+                if sym in g.terminals and sym not in wrappers:
+                    wrappers[sym] = next(_fresh_names("T_%s" % sym, used))
+            body = tuple(wrappers.get(s, s) for s in body)
+        for sym in body[:-2]:
+            helper = next(helpers)
+            binary.append(Production(head, (sym, helper)))
             head = helper
-            rest = rest[1:]
-        binary.append(Production(head, tuple(rest)))
-    binary.extend(wrapper_rules)
+        binary.append(Production(head, body[-2:]))
+    binary.extend(Production(w, (sym,)) for sym, w in wrappers.items())
     if derives_epsilon:
         binary.append(Production(start, ()))
-    binary = _dedup(binary)
+    binary = list(dict.fromkeys(binary))
 
     nonterminals = frozenset(
         {p.lhs for p in binary}

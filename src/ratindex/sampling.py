@@ -108,14 +108,11 @@ def random_grammar(
                     for _ in range(rng.randint(1, max_body))
                 )
                 productions.append(Production(nt, body))
-        seen = set()
-        unique = []
-        for p in productions:
-            if p not in seen:
-                seen.add(p)
-                unique.append(p)
         g = Grammar(
-            frozenset(terminals), frozenset(nonterminals), tuple(unique), nonterminals[0]
+            frozenset(terminals),
+            frozenset(nonterminals),
+            tuple(dict.fromkeys(productions)),
+            nonterminals[0],
         )
         if g.start in generating_nonterminals(g):
             return g
@@ -198,10 +195,8 @@ def random_superlinear_grammar(rng: random.Random) -> Grammar:
         else:
             productions.append(Production(nt, (partner, rng.choice(terminals))))
         productions.append(Production(nt, (rng.choice(terminals),)))
-    seen = set()
-    unique = [p for p in productions if not (p in seen or seen.add(p))]
     return Grammar(
-        frozenset(terminals), frozenset(core + outer), tuple(unique), start
+        frozenset(terminals), frozenset(core + outer), tuple(dict.fromkeys(productions)), start
     )
 
 
@@ -242,9 +237,7 @@ def random_reduced_ultralinear_grammar(
         below = sorted(set().union(*partition[:-1]))
         productions.append(Production(start, (rng.choice(below), rng.choice(below))))
     nonterminals = frozenset(set().union(*partition))
-    seen = set()
-    unique = [p for p in productions if not (p in seen or seen.add(p))]
     return (
-        Grammar(frozenset(terminals), nonterminals, tuple(unique), start),
+        Grammar(frozenset(terminals), nonterminals, tuple(dict.fromkeys(productions)), start),
         partition,
     )

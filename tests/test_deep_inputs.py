@@ -1,7 +1,10 @@
-"""Inputs whose derivations are thousands of levels deep.
+"""Inputs whose derivations are thousands of levels deep, and grammars
+with thousands of productions.
 
-Each size here used to raise RecursionError: witnesses, parse trees and
-tree equality, hashing and printing must not recurse with the data.
+Each depth here used to raise RecursionError: witnesses, parse trees and
+tree equality, hashing and printing must not recurse with the data.  Each
+grammar size here used to take seconds in to_cnf: normalisation must not
+rescan the productions per nonterminal or per fresh name.
 """
 
 import time
@@ -9,7 +12,13 @@ import time
 import pytest
 
 from ratindex.cli import main
-from ratindex.grammar import cyk_membership, cyk_parse, is_valid_parse_tree
+from ratindex.grammar import (
+    cyk_membership,
+    cyk_parse,
+    is_valid_parse_tree,
+    parse_grammar,
+    to_cnf,
+)
 from ratindex.graphs import NFA, LabeledGraph
 from ratindex.intersection import bar_hillel, extract_witness, shortest_words
 from ratindex.measure import TwoCycle, measure_rho
@@ -91,3 +100,42 @@ def test_cyk_on_long_anbn(anbn_cnf):
     assert dimension(tree) == 1
     assert cyk_membership(anbn_cnf, word)
     assert not cyk_membership(anbn_cnf, "a" * 1000 + "b" * 999 + "a")
+
+
+def long_alternatives(k):
+    """k five-symbol alternatives of S over k nonterminals N0..N(k-1)."""
+    lines = ["S -> " + " | ".join(
+        "N%d a N%d b N%d" % (i, (i + 1) % k, (i + 2) % k) for i in range(k)
+    )]
+    lines += ["N%d -> c%d | c%d N%d" % (i, i, i, 3 * i % k) for i in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+def unit_chain(n):
+    """A0 -> A1 -> ... -> A(n-1) by unit productions, each with two more
+    alternatives, so unit elimination copies about n^2 bodies."""
+    lines = ["A%d -> A%d | a A%d b | c" % (i, i + 1, 7 * i % n) for i in range(n - 1)]
+    lines.append("A%d -> a b" % (n - 1))
+    return "\n".join(lines) + "\n"
+
+
+def right_linear_chain(n):
+    """B0 -> b B1, ..., B(n-1) -> b Bn, Bn -> b: a round-based fixpoint
+    over the productions in this order learns one generating nonterminal
+    per round."""
+    lines = ["B%d -> b B%d" % (i, i + 1) for i in range(n)]
+    lines.append("B%d -> b" % n)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("build, size, productions", [
+    (long_alternatives, 1000, 7002),
+    (unit_chain, 100, 10087),
+    (right_linear_chain, 2000, 2002),
+], ids=["long-alternatives", "unit-chain", "right-linear-chain"])
+def test_to_cnf_on_large_grammars(build, size, productions):
+    g = parse_grammar(build(size))
+    start = time.perf_counter()
+    cnf = to_cnf(g)
+    assert time.perf_counter() - start < 2
+    assert len(cnf.productions) == productions

@@ -123,6 +123,50 @@ def test_to_cnf_epsilon_only_language():
     assert cnf.productions == (Production(cnf.start, ()),)
 
 
+# Production order fixes the production ids that the closure's tie rule
+# reads, so the exact CNF text is pinned, not only its language.
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            # the fresh start skips the taken name S0
+            "S -> a S b |\nS0 -> a\n",
+            "S01 -> T_a X | T_a T_b | \n"
+            "X -> S T_b\n"
+            "S -> T_a X1 | T_a T_b\n"
+            "X1 -> S T_b\n"
+            "T_a -> a\n"
+            "T_b -> b\n",
+        ),
+        (
+            # binarization helpers skip X and X1, the wrapper skips T_a
+            "S -> X a X1 b T_a c | a\nX -> a\nX1 -> b\nT_a -> c\n",
+            "S -> X X2 | a\n"
+            "X2 -> T_a1 X3\n"
+            "X3 -> X1 X4\n"
+            "X4 -> T_b X5\n"
+            "X5 -> T_a T_c\n"
+            "X -> a\n"
+            "X1 -> b\n"
+            "T_a -> c\n"
+            "T_a1 -> a\n"
+            "T_b -> b\n"
+            "T_c -> c\n",
+        ),
+        (
+            "A -> B | a\nB -> C | b\nC -> A | c a b\n",
+            "A -> a | b | T_c X\nX -> T_a T_b\nT_c -> c\nT_a -> a\nT_b -> b\n",
+        ),
+        (
+            "S -> a b | a b | S S\nS -> a b\n",
+            "S -> T_a T_b | S S\nT_a -> a\nT_b -> b\n",
+        ),
+    ],
+)
+def test_to_cnf_golden(text, expected):
+    assert grammar_to_text(to_cnf(parse_grammar(text))) == expected
+
+
 def test_cyk_membership_examples(anbn_cnf):
     assert cyk_membership(anbn_cnf, "aabb")
     assert not cyk_membership(anbn_cnf, "aab")
