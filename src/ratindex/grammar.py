@@ -370,6 +370,40 @@ def _fresh_names(base: str, used: set[str]) -> Iterator[str]:
             yield candidate
 
 
+def _drop_nullable(
+    rhs: tuple[str, ...], nullable: frozenset[str]
+) -> Iterator[tuple[str, ...]]:
+    """The distinct bodies left by dropping some nullable occurrences of a
+    body, in the order of their first appearance over the drop masks 0, 1,
+    2, ... (bit b drops the b-th nullable occurrence).
+
+    A depth-first walk decides the occurrences from the last one back,
+    keeping before dropping, which visits the masks in that order.  A state
+    is the number of occurrences still to decide and the suffix decided so
+    far; what follows a state depends on nothing else, so a state seen
+    before adds no new body and is pruned.  For k occurrences of one symbol
+    there are O(k^2) states instead of 2^k masks.
+    """
+    positions = [i for i, s in enumerate(rhs) if s in nullable]
+    # cuts[b]: where the body goes on after its b-th nullable occurrence.
+    cuts = [0] + [p + 1 for p in positions]
+    seen: set[tuple[int, tuple[str, ...]]] = set()
+    stack = [(len(positions), rhs[cuts[-1]:])]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        b, suffix = state
+        if not b:
+            yield suffix
+            continue
+        p = positions[b - 1]
+        between = rhs[cuts[b - 1]:p]
+        stack.append((b - 1, between + suffix))
+        stack.append((b - 1, between + (rhs[p],) + suffix))
+
+
 def to_cnf(g: Grammar) -> CNFGrammar:
     """Convert to Chomsky normal form preserving the language exactly.
 
@@ -393,12 +427,7 @@ def to_cnf(g: Grammar) -> CNFGrammar:
     # collected per head in first-appearance order.
     bodies: dict[str, dict[tuple[str, ...], None]] = {}
     for lhs, rhs in prods:
-        nullable_positions = [i for i, s in enumerate(rhs) if s in nullable]
-        for mask in range(1 << len(nullable_positions)):
-            dropped = {
-                pos for bit, pos in enumerate(nullable_positions) if mask >> bit & 1
-            }
-            body = tuple(s for i, s in enumerate(rhs) if i not in dropped)
+        for body in _drop_nullable(rhs, nullable):
             if body:
                 bodies.setdefault(lhs, {})[body] = None
 

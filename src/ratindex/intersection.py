@@ -9,6 +9,7 @@ chain Datalog and CYK are all views on it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Union
@@ -70,13 +71,44 @@ def bar_hillel(g: CNFGrammar, automaton: Union[LabeledGraph, NFA]) -> TripleGram
     return TripleGrammar(g, automaton)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=64)
+def word_codec(terminals: frozenset[str]) -> tuple[dict[str, str], tuple[str, ...]]:
+    """The code of a word over the terminals is a string with one character
+    per symbol: ``chr`` of the symbol's rank in sorted order.  Comparing two
+    codes orders them as the words, prefix rule included.  Returns the
+    character of each terminal and the terminals by rank; built once per
+    terminal set and shared, so callers must not change them."""
+    names = tuple(sorted(terminals))
+    return {a: chr(rank) for rank, a in enumerate(names)}, names
+
+
+def decode(names: tuple[str, ...], code: str) -> tuple[str, ...]:
+    """The word of a code, given the terminals by rank (see ``word_codec``)."""
+    return tuple([names[ord(c)] for c in code])
+
+
+@dataclass(frozen=True, slots=True)
 class ShortestEntry:
-    length: int
-    word: tuple[str, ...]
+    """The canonical witness of a triple.  The word is stored as its code
+    (see ``word_codec``), one character per symbol, and ``word`` decodes it
+    to a tuple of terminal names on each access.  A tuple would cost 8
+    bytes and a reference per symbol: for the two-cycle automaton 61:67
+    with ``S -> a S b | a b`` (witness length 8,174), ``measure_rho`` peaks
+    at about 38 MB under tracemalloc, against 273 MB with tuple words."""
+
+    code: str
+    names: tuple[str, ...] = field(repr=False)  # the terminals by rank
     production: int
     left: Triple | None = None  # None for edge-form entries
     right: Triple | None = None
+
+    @property
+    def length(self) -> int:
+        return len(self.code)
+
+    @property
+    def word(self) -> tuple[str, ...]:
+        return decode(self.names, self.code)
 
 
 @dataclass
@@ -107,15 +139,18 @@ class ProductClosure:
       2. (A,i,j) -> a                 for every rule A -> a and edge (i,a,j)
 
     ``lengths`` maps every realizable triple to the length of the shortest
-    word it derives.  Every length is a positive integer and a join is
-    strictly longer than either of its parts, so triples are settled bucket
-    by bucket in increasing length (Knuth's generalisation of Dijkstra's
-    algorithm) and a bucket is complete when it is reached.  Nodes may be
-    any hashable, ordered values; CYK uses word positions.
+    word it derives, and ``by_source[A][i]`` lists the realizable triples
+    (A, i, j) as (j, length) in the order they were settled.  Every length
+    is a positive integer and a join is strictly longer than either of its
+    parts, so triples are settled bucket by bucket in increasing length
+    (Knuth's generalisation of Dijkstra's algorithm) and a bucket is
+    complete when it is reached.  Nodes may be any hashable, ordered
+    values; CYK uses word positions.
 
     ``entries`` holds the canonical entries resolved so far: the
     lexicographically smallest word of minimum length, ties broken by the
-    smallest production id, then the smallest split node.
+    smallest production id, then the smallest split node.  Words are built
+    and compared as codes (see ``word_codec``).
     """
 
     def __init__(self, g: CNFGrammar, transitions: Iterable[tuple[Hashable, str, Hashable]]):
@@ -146,12 +181,13 @@ class ProductClosure:
 
         # Lengths are tentative until their bucket is reached.
         lengths: dict[Triple, int] = {}
-        # Canonical (word, production id) of every triple of length 1.
-        edges: dict[Triple, tuple[tuple[str], int]] = {}
+        # Canonical (code, production id) of every triple of length 1.
+        chars, names = word_codec(g.terminals)
+        edges: dict[Triple, tuple[str, int]] = {}
         for src, label, dst in transitions:
             for pid, head in terminal_rules.get(label, ()):
                 triple = (head, src, dst)
-                step = ((label,), pid)
+                step = (chars[label], pid)
                 if triple not in edges:
                     lengths[triple] = 1
                     edges[triple] = step
@@ -184,9 +220,10 @@ class ProductClosure:
 
         self.lengths = lengths
         self.entries: dict[Triple, ShortestEntry] = {}
+        self.by_source = by_source
         self._pair_rules = pair_rules
         self._edges = edges
-        self._by_source = by_source
+        self._names = names
         self._by_target = by_target
 
     def splits(self, triple: Triple) -> list[tuple[int, Triple, Triple]]:
@@ -200,7 +237,7 @@ class ProductClosure:
         lengths = self.lengths
         found = []
         for pid, b, c in self._pair_rules.get(head, ()):
-            lefts = self._by_source[b].get(i, ())
+            lefts = self.by_source[b].get(i, ())
             rights = self._by_target[c].get(j, ())
             if len(lefts) <= len(rights):
                 for k, dl in lefts:
@@ -244,18 +281,18 @@ class ProductClosure:
         are resolved.  A triple of length 1 has no splits, only edges."""
         entries = self.entries
         if not splits:
-            word, pid = self._edges[triple]
-            entries[triple] = ShortestEntry(1, word, pid)
+            code, pid = self._edges[triple]
+            entries[triple] = ShortestEntry(code, self._names, pid)
             return
         if len(splits) == 1:
             pid, left, right = splits[0]
-            word = entries[left].word + entries[right].word
+            code = entries[left].code + entries[right].code
         else:
-            word, pid, _k, left, right = min(
-                (entries[left].word + entries[right].word, pid, left[2], left, right)
+            code, pid, _k, left, right = min(
+                (entries[left].code + entries[right].code, pid, left[2], left, right)
                 for pid, left, right in splits
             )
-        entries[triple] = ShortestEntry(len(word), word, pid, left, right)
+        entries[triple] = ShortestEntry(code, self._names, pid, left, right)
 
 
 def derivation_path(entries: Mapping[Triple, ShortestEntry], triple: Triple) -> tuple:
@@ -319,7 +356,9 @@ def extract_witness(tg: TripleGrammar, table: ShortestTable, triple: Triple) -> 
 
     def parts(t: Triple) -> tuple:
         entry = entries[t]
-        return entry.word if entry.left is None else (entry.left, entry.right)
+        if entry.left is None:
+            return (entry.names[ord(entry.code)],)  # the edge's terminal
+        return entry.left, entry.right
 
     tree = derivation_tree(triple, parts)
     return Witness(entries[triple].word, tree, derivation_path(entries, triple))
@@ -336,14 +375,18 @@ def shortest_start(
     """
     if tg.empty_word_states():
         return 0, (), None
-    return min(
+    best = min(
         (
-            (entry.length, entry.word, triple)
+            (entry.length, entry.code, triple)
             for triple, entry in table.entries.items()
             if tg.is_start(triple)
         ),
         default=None,
     )
+    if best is None:
+        return None
+    length, _code, triple = best
+    return length, table.entries[triple].word, triple
 
 
 def realizable_start_pairs(tg: TripleGrammar, table: ShortestTable) -> frozenset[tuple[str, str]]:

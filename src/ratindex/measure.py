@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from .errors import RatIndexError
 from .grammar import CNFGrammar
 from .graphs import NFA
-from .intersection import ProductClosure, bar_hillel
+from .intersection import ProductClosure, bar_hillel, decode, word_codec
 from .sampling import random_nfa
 
 log = logging.getLogger(__name__)
@@ -204,23 +204,29 @@ def _automata_for(
         )
 
 
-def _evaluate_automaton(
-    grammar: CNFGrammar, nfa: NFA
-) -> tuple[int, tuple[str, ...]] | None:
-    """Length and word of ``shortest_start`` for one automaton, or None when
-    the intersection is empty.  Only the start triples of minimum length
-    are resolved."""
+def _evaluate_automaton(grammar: CNFGrammar, nfa: NFA) -> tuple[int, str] | None:
+    """Length and word code of ``shortest_start`` for one automaton, or
+    None when the intersection is empty.  The start triples are read from
+    the closure's rows of the initial states, and only those of minimum
+    length are resolved."""
     product = bar_hillel(grammar, nfa)
     if product.empty_word_states():
-        return 0, ()
+        return 0, ""
     closure = ProductClosure(grammar, nfa.transitions)
-    lengths = closure.lengths
-    starts = [triple for triple in lengths if product.is_start(triple)]
+    start = grammar.start
+    rows = closure.by_source[start]
+    accepting = nfa.accepting
+    starts = [
+        (length, i, j)
+        for i in nfa.initial
+        for j, length in rows.get(i, ())
+        if j in accepting
+    ]
     if not starts:
         return None
-    shortest = min(map(lengths.__getitem__, starts))
+    shortest = min(length for length, _i, _j in starts)
     return shortest, min(
-        closure.entry(triple).word for triple in starts if lengths[triple] == shortest
+        closure.entry((start, i, j)).code for length, i, j in starts if length == shortest
     )
 
 
@@ -234,8 +240,9 @@ def measure_rho(
 
     Automata with empty intersections are skipped.  The reduction is
     order-insensitive (max on value, ties to the smallest witness word then
-    id).  The sweep always runs in the calling process, one automaton after
-    another; ``workers`` is accepted for compatibility and has no effect.
+    id); it compares word codes and decodes only the winner's word.  The
+    sweep always runs in the calling process, one automaton after another;
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -256,27 +263,27 @@ def measure_rho(
     automata = _automata_for(strategy, n, alphabet)
     tested_automata = automata if budget is None else itertools.islice(automata, budget)
 
-    best: tuple[int, tuple[str, ...], str, NFA] | None = None
+    best: tuple[int, str, str, NFA] | None = None
     tested = 0
     for ident, nfa in tested_automata:
         tested += 1
         result = _evaluate_automaton(g, nfa)
         if result is None:
             continue
-        length, word = result
+        length, code = result
         if (
             best is None
             or length > best[0]
-            or (length == best[0] and (word, ident) < best[1:3])
+            or (length == best[0] and (code, ident) < best[1:3])
         ):
-            best = (length, word, ident, nfa)
+            best = (length, code, ident, nfa)
     truncated = budget is not None and next(automata, None) is not None
 
     estimate = RhoEstimate(
         n=n,
         value=best[0] if best else None,
         witness_automaton=best[3] if best else None,
-        witness_word=best[1] if best else None,
+        witness_word=decode(word_codec(g.terminals)[1], best[1]) if best else None,
         witness_id=best[2] if best else None,
         tested_count=tested,
         exhaustive=exhaustive and not truncated,

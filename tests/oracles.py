@@ -12,7 +12,7 @@ from collections import deque
 
 from ratindex.grammar import CNFGrammar, Grammar, Production, cyk_membership, trim_useless
 from ratindex.graphs import NFA, LabeledGraph
-from ratindex.intersection import UnrealizableTripleError, shortest_words
+from ratindex.intersection import ProductClosure, UnrealizableTripleError, shortest_words
 
 
 def derives(g: Grammar, word) -> bool:
@@ -175,6 +175,87 @@ def materialize(tg, start) -> CNFGrammar:
         start=mangle(start),
         epsilon_at_start=False,
     )
+
+
+# Multi-character terminals whose sorted order (down, flat, up) is not the
+# order of the letters they replace.
+UP_DOWN_FLAT = {"a": "up", "b": "down", "c": "flat"}
+
+
+def rename_terminals(g: CNFGrammar, names) -> CNFGrammar:
+    """The grammar with each terminal a renamed to names[a]."""
+    productions = tuple(
+        Production(p.lhs, (names[p.rhs[0]],) if len(p.rhs) == 1 else p.rhs)
+        for p in g.productions
+    )
+    return CNFGrammar(
+        frozenset(names[a] for a in g.terminals), g.nonterminals, productions, g.start,
+        g.epsilon_at_start,
+    )
+
+
+def resolve_by_tuple_words(g: CNFGrammar, transitions, closure) -> dict:
+    """Reference for the entries of ``ProductClosure``: the canonical
+    (word, production id, left, right) of every realizable triple, with the
+    word a tuple of terminal names.  Triples are resolved shortest first
+    from the closure's lengths and splits; a triple of length 1 takes the
+    smallest (word, production id) of its edges, found here from the
+    grammar's terminal rules.  Returns the entries and the number of
+    triples whose smallest word came from two or more splits."""
+    edges: dict = {}
+    for src, label, dst in transitions:
+        for pid, prod in enumerate(g.productions):
+            if prod.rhs == (label,):
+                triple, step = (prod.lhs, src, dst), ((label,), pid)
+                if triple not in edges or step < edges[triple]:
+                    edges[triple] = step
+    entries: dict = {}
+    tied = 0
+    for triple in sorted(closure.lengths, key=closure.lengths.__getitem__):
+        splits = closure.splits(triple)
+        if not splits:
+            word, pid = edges[triple]
+            entries[triple] = (word, pid, None, None)
+            continue
+        candidates = sorted(
+            (entries[left][0] + entries[right][0], pid, left[2], left, right)
+            for pid, left, right in splits
+        )
+        word, pid, _k, left, right = candidates[0]
+        tied += len(candidates) > 1 and candidates[1][0] == word
+        entries[triple] = (word, pid, left, right)
+    return entries, tied
+
+
+def sweep_by_tuple_words(g: CNFGrammar, automata):
+    """Reference for the reduction of ``measure_rho``: per automaton the
+    smallest (length, word) over its start triples from tuple-word entries,
+    or the empty word; the estimate is the largest length, ties to the
+    smallest word, then the smallest id.  Returns (value, word, id, tested)."""
+    best = None
+    tested = 0
+    for ident, nfa in automata:
+        tested += 1
+        if g.epsilon_at_start and nfa.initial & nfa.accepting:
+            found = (0, ())
+        else:
+            closure = ProductClosure(g, nfa.transitions)
+            entries, _ = resolve_by_tuple_words(g, nfa.transitions, closure)
+            found = min(
+                (
+                    (len(word), word)
+                    for (head, i, j), (word, *_rest) in entries.items()
+                    if head == g.start and i in nfa.initial and j in nfa.accepting
+                ),
+                default=None,
+            )
+        if found is None:
+            continue
+        if best is None or found[0] > best[0] or (
+            found[0] == best[0] and (found[1], ident) < best[1:]
+        ):
+            best = (found[0], found[1], ident)
+    return (best or (None, None, None)) + (tested,)
 
 
 def start_pairs_scan(tg) -> list[tuple[str, str]]:

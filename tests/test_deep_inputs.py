@@ -4,10 +4,13 @@ with thousands of productions.
 Each depth here used to raise RecursionError: witnesses, parse trees and
 tree equality, hashing and printing must not recurse with the data.  Each
 grammar size here used to take seconds in to_cnf: normalisation must not
-rescan the productions per nonterminal or per fresh name.
+rescan the productions per nonterminal or per fresh name, nor enumerate
+every subset of a body's nullable occurrences.  Long witnesses must not
+cost a word of memory per symbol per triple.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -57,6 +60,18 @@ def test_measure_rho_long_two_cycles(anbn_cnf, p, q, value):
     estimate = measure_rho(anbn_cnf, p + q, TwoCycle(p, q))
     assert estimate.value == value
     assert estimate.witness_word == ("a",) * (value // 2) + ("b",) * (value // 2)
+
+
+def test_measure_rho_two_cycle_61_67_memory(anbn_cnf):
+    tracemalloc.start()
+    try:
+        estimate = measure_rho(anbn_cnf, 128, TwoCycle(61, 67))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate.value == 8174
+    assert estimate.witness_word == ("a",) * 4087 + ("b",) * 4087
+    assert peak < 60_000_000
 
 
 @pytest.mark.parametrize("pairs, value", [("23:29", 1334), ("31:37", 2294)])
@@ -139,3 +154,14 @@ def test_to_cnf_on_large_grammars(build, size, productions):
     cnf = to_cnf(g)
     assert time.perf_counter() - start < 2
     assert len(cnf.productions) == productions
+
+
+def test_to_cnf_with_many_nullable_occurrences():
+    # S -> A^24 has 2^24 ways of dropping A's but only 25 distinct bodies
+    g = parse_grammar("S -> %s\nA -> a |\n" % " ".join(["A"] * 24))
+    start = time.perf_counter()
+    cnf = to_cnf(g)
+    assert time.perf_counter() - start < 1
+    assert cnf.epsilon_at_start
+    assert len(cnf.productions) == 279
+    assert cyk_membership(cnf, "a" * 24) and not cyk_membership(cnf, "a" * 25)

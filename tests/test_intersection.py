@@ -3,6 +3,7 @@ import pytest
 from ratindex.grammar import cyk_membership, is_valid_parse_tree, parse_grammar, to_cnf
 from ratindex.graphs import NFA, LabeledGraph, parse_nfa
 from ratindex.intersection import (
+    ProductClosure,
     UnrealizableTripleError,
     bar_hillel,
     extract_witness,
@@ -15,8 +16,11 @@ from ratindex.measure import two_cycle_family
 from ratindex.sampling import random_cnf_grammar, random_graph, random_nfa
 
 from oracles import (
+    UP_DOWN_FLAT,
     materialize,
     realizable_start_pairs_scan,
+    rename_terminals,
+    resolve_by_tuple_words,
     shortest_intersection_bfs,
     shortest_start_scan,
     walks_up_to,
@@ -358,3 +362,51 @@ def test_start_queries_match_the_start_pair_scan(rng):
             product, table
         )
     assert epsilon_grammars >= 30
+
+
+def entries_as_tuples(closure, triples):
+    found = {t: closure.entry(t) for t in triples}
+    assert all(entry.length == len(entry.word) for entry in found.values())
+    return {t: (e.word, e.production, e.left, e.right) for t, e in found.items()}
+
+
+def test_entries_match_the_tuple_word_resolution(rng):
+    tied = renamed = 0
+    for trial in range(1000):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=3)
+        if trial % 3 == 0:
+            g = rename_terminals(g, UP_DOWN_FLAT)
+            renamed += 1
+        letters = sorted(g.terminals)
+        if trial % 2:
+            transitions = random_nfa(rng, rng.randint(1, 4), letters).transitions
+        else:
+            n = rng.randint(1, 8)
+            transitions = random_graph(rng, n, letters, rng.randint(1, 3 * n)).edges
+        closure = ProductClosure(g, transitions)
+        expected, ties = resolve_by_tuple_words(g, transitions, closure)
+        tied += ties
+        # resolve_all on some instances, triples on demand in a random order
+        # on the others
+        triples = list(closure.lengths)
+        if trial % 4 < 2:
+            closure.resolve_all()
+        else:
+            rng.shuffle(triples)
+        assert entries_as_tuples(closure, triples) == expected
+    assert renamed >= 300 and tied >= 200
+
+
+def test_entries_over_a_wide_alphabet_match_the_tuple_word_resolution(rng):
+    # 300 terminals t0..t299, sorted as t0, t1, t10, t100, ...; their codes
+    # go past Latin-1
+    names = ["t%d" % k for k in range(300)]
+    rng.shuffle(names)
+    g = to_cnf(parse_grammar("S -> S S | L S R | L R\nL -> %s\nR -> %s\n" % (
+        " | ".join(names[:150]), " | ".join(names[150:]))))
+    graph = random_graph(rng, 40, names, 200)
+    closure = ProductClosure(g, graph.edges)
+    expected, _ = resolve_by_tuple_words(g, graph.edges, closure)
+    assert entries_as_tuples(closure, closure.lengths) == expected
+    assert len(expected) >= 500
+    assert max(max(map(ord, e.code)) for e in closure.entries.values()) > 255

@@ -16,13 +16,14 @@ from ratindex.bounds import (
 )
 from ratindex.grammar import parse_grammar, to_cnf
 from ratindex.graphs import parse_nfa
-from ratindex.intersection import bar_hillel, shortest_start, shortest_words
+from ratindex.intersection import bar_hillel, decode, shortest_start, shortest_words, word_codec
 from ratindex.measure import (
     BudgetExceededError,
     DegenerateInputError,
     Exhaustive,
     RandomSample,
     TwoCycle,
+    _automata_for,
     _evaluate_automaton,
     enumerate_nfas,
     fit_growth,
@@ -31,7 +32,13 @@ from ratindex.measure import (
 )
 from ratindex.sampling import random_cnf_grammar, random_nfa
 
-from oracles import enumerate_nfas_bruteforce, shortest_intersection_bfs
+from oracles import (
+    UP_DOWN_FLAT,
+    enumerate_nfas_bruteforce,
+    rename_terminals,
+    shortest_intersection_bfs,
+    sweep_by_tuple_words,
+)
 
 
 # --- bound formulas -----------------------------------------------------------
@@ -225,6 +232,12 @@ def test_enumeration_matches_the_bruteforce_oracle(max_states, alphabet, limit):
     assert found == expected
 
 
+def evaluate_words(g, nfa):
+    """``_evaluate_automaton`` with its word code decoded."""
+    result = _evaluate_automaton(g, nfa)
+    return result and (result[0], decode(word_codec(g.terminals)[1], result[1]))
+
+
 def test_sweep_evaluation_matches_the_full_table(rng):
     epsilon_grammars = overlapping = nonempty = tied = 0
     for _ in range(300):
@@ -233,7 +246,7 @@ def test_sweep_evaluation_matches_the_full_table(rng):
         product = bar_hillel(g, nfa)
         table = shortest_words(product)
         best = shortest_start(product, table)
-        assert _evaluate_automaton(g, nfa) == (best and best[:2])
+        assert evaluate_words(g, nfa) == (best and best[:2])
         epsilon_grammars += g.epsilon_at_start
         overlapping += bool(nfa.initial & nfa.accepting)
         if best is not None and best[0] > 0:
@@ -256,7 +269,34 @@ def test_sweep_evaluation_takes_the_smallest_tied_word():
             "%s %s f\n" % (state, letters[(k + shift) % len(letters)])
             for k, state in enumerate(states)
         )
-        assert _evaluate_automaton(g, parse_nfa(text)) == (1, ("a",))
+        assert evaluate_words(g, parse_nfa(text)) == (1, ("a",))
+
+
+@pytest.mark.parametrize(
+    "text, n, strategy",
+    [
+        ("S -> S S | up S down | up down\n", 4, RandomSample(count=300, seed=2)),
+        ("S -> S S | a S b | a b\n", 4, RandomSample(count=300, seed=2)),
+        ("S -> S S | up S down | up down\n", 2, Exhaustive()),
+        ("S -> up S down | down\n", 2, Exhaustive()),
+        ("S -> S up S | down |\n", 2, Exhaustive()),
+    ],
+)
+def test_sweep_matches_the_tuple_word_reduction(text, n, strategy):
+    g = to_cnf(parse_grammar(text))
+    estimate = measure_rho(g, n, strategy)
+    found = (estimate.value, estimate.witness_word, estimate.witness_id, estimate.tested_count)
+    assert found == sweep_by_tuple_words(g, _automata_for(strategy, n, sorted(g.terminals)))
+
+
+def test_random_sweeps_match_the_tuple_word_reduction(rng):
+    for seed in range(20):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=3)
+        g = rename_terminals(g, UP_DOWN_FLAT)
+        strategy = RandomSample(count=60, seed=seed)
+        estimate = measure_rho(g, 4, strategy)
+        found = (estimate.value, estimate.witness_word, estimate.witness_id, 60)
+        assert found == sweep_by_tuple_words(g, _automata_for(strategy, 4, sorted(g.terminals)))
 
 
 def test_pool_matches_serial_beyond_one_batch(anbn_cnf):
