@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 from .errors import RatIndexError
 from .graphs import NFA, LabeledGraph
@@ -111,24 +111,6 @@ class ShortestEntry:
         return decode(self.names, self.code)
 
 
-@dataclass
-class ShortestTable:
-    """Exact minimum yield length (and a canonical witness) per realizable
-    triple; unrealizable triples are simply absent."""
-
-    entries: dict[Triple, ShortestEntry] = field(default_factory=dict)
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self.entries
-
-    def length(self, triple: Triple) -> int | None:
-        entry = self.entries.get(triple)
-        return entry.length if entry else None
-
-    def realizable(self) -> frozenset[Triple]:
-        return frozenset(self.entries)
-
-
 class ProductClosure:
     """The realizable triples of the product of a CNF grammar with a set of
     labeled transitions (source, label, target).
@@ -150,14 +132,19 @@ class ProductClosure:
     ``entries`` holds the canonical entries resolved so far: the
     lexicographically smallest word of minimum length, ties broken by the
     smallest production id, then the smallest split node.  Words are built
-    and compared as codes (see ``word_codec``).
+    and compared as codes (see ``word_codec``).  A settled closure keeps only
+    what resolution reads: ``lengths``, ``by_source``, the binary rules, the
+    production id of each length-1 triple and, for the nonterminals without
+    binary rules, their length-1 triples by target node.
     """
 
     def __init__(self, g: CNFGrammar, transitions: Iterable[tuple[Hashable, str, Hashable]]):
         # Realized triples per nonterminal, by source node and by target
         # node, as (other node, length) in the order they were settled.
-        # Both stay alive for ``splits``; keying by nonterminal first stores
-        # no (nonterminal, node) tuple per key.
+        # Keying by nonterminal first stores no (nonterminal, node) tuple per
+        # key.  Only the joins read ``by_target``; once the closure settles,
+        # it is kept for the nonterminals without binary rules only, whose
+        # triples are edges.
         by_source: dict[str, dict[Hashable, list[tuple[Hashable, int]]]] = {
             a: {} for a in g.nonterminals
         }
@@ -181,18 +168,20 @@ class ProductClosure:
 
         # Lengths are tentative until their bucket is reached.
         lengths: dict[Triple, int] = {}
-        # Canonical (code, production id) of every triple of length 1.
+        # The production id of every triple of length 1, the one of smallest
+        # (code, production id); its code is the character of its terminal.
         chars, names = word_codec(g.terminals)
-        edges: dict[Triple, tuple[str, int]] = {}
+        productions = g.productions
+        edges: dict[Triple, int] = {}
         for src, label, dst in transitions:
             for pid, head in terminal_rules.get(label, ()):
                 triple = (head, src, dst)
-                step = (chars[label], pid)
-                if triple not in edges:
+                old = edges.get(triple)
+                if old is None:
                     lengths[triple] = 1
-                    edges[triple] = step
-                elif step < edges[triple]:
-                    edges[triple] = step
+                    edges[triple] = pid
+                elif (chars[label], pid) < (chars[productions[old].rhs[0]], old):
+                    edges[triple] = pid
         buckets: dict[int, list[Triple]] = {1: list(edges)}
         pending = [1]  # heap of the lengths that have a bucket
 
@@ -223,33 +212,60 @@ class ProductClosure:
         self.by_source = by_source
         self._pair_rules = pair_rules
         self._edges = edges
+        self._productions = productions
+        self._chars = chars
         self._names = names
-        self._by_target = by_target
+        self._edges_by_target = {c: by_target[c] for c in by_target if c not in pair_rules}
+
+    def start_rows(
+        self, start: str, initial: Iterable[Hashable], accepting: frozenset
+    ) -> list[tuple[int, Hashable, Hashable]]:
+        """The realized triples (start, i, j) with i initial and j accepting,
+        as (length, i, j), read from the rows ``by_source[start][i]``."""
+        rows = self.by_source[start]
+        return [(d, i, j) for i in initial for j, d in rows.get(i, ()) if j in accepting]
+
+    def least_start(
+        self, start: str, initial: Iterable[Hashable], accepting: frozenset, floor: int = 0
+    ) -> tuple[int, str, Triple] | None:
+        """The smallest (length, code, triple) over ``start_rows``, or None
+        when there is none or its length is below ``floor``.  Only the
+        triples of minimum length are resolved."""
+        rows = self.start_rows(start, initial, accepting)
+        if not rows:
+            return None
+        shortest = min(d for d, _i, _j in rows)
+        if shortest < floor:
+            return None
+        code, triple = min(
+            (self.entry(t).code, t) for t in ((start, i, j) for d, i, j in rows if d == shortest)
+        )
+        return shortest, code, triple
 
     def splits(self, triple: Triple) -> list[tuple[int, Triple, Triple]]:
         """The binary steps (production id, left, right) that derive a
-        realizable triple at its shortest length.  Per rule, only the shorter
-        of the realized left parts (``by_source``) and right parts
-        (``by_target``) is walked, each listed in the order it was settled,
-        shortest first, up to the triple's length."""
+        realizable triple at its shortest length.  Per rule, the realized
+        left parts (``by_source``) are walked in the order they were
+        settled, shortest first, up to the triple's length; when the right
+        child has no binary rule, its parts are the edges into the target,
+        and those are walked instead."""
         head, i, j = triple
         d = self.lengths[triple]
         lengths = self.lengths
+        by_source = self.by_source
+        edges_by_target = self._edges_by_target
         found = []
         for pid, b, c in self._pair_rules.get(head, ()):
-            lefts = self.by_source[b].get(i, ())
-            rights = self._by_target[c].get(j, ())
-            if len(lefts) <= len(rights):
-                for k, dl in lefts:
+            edges_in = edges_by_target.get(c)
+            if edges_in is None:
+                for k, dl in by_source[b].get(i, ()):
                     if dl >= d:
                         break
                     if lengths.get((c, k, j)) == d - dl:
                         found.append((pid, (b, i, k), (c, k, j)))
             else:
-                for k, dr in rights:
-                    if dr >= d:
-                        break
-                    if lengths.get((b, i, k)) == d - dr:
+                for k, _one in edges_in.get(j, ()):
+                    if lengths.get((b, i, k)) == d - 1:
                         found.append((pid, (b, i, k), (c, k, j)))
         return found
 
@@ -258,15 +274,17 @@ class ProductClosure:
         shortest derivations may use are resolved first, shortest first."""
         entries = self.entries
         if triple not in entries:
+            lengths = self.lengths
             steps: dict[Triple, list] = {}
             stack = [triple]
             while stack:
                 t = stack.pop()
                 if t not in steps and t not in entries:
-                    steps[t] = found = self.splits(t)
+                    # a triple of length 1 has no splits, only edges
+                    steps[t] = found = self.splits(t) if lengths[t] > 1 else []
                     for _pid, left, right in found:
                         stack += (left, right)
-            for t in sorted(steps, key=self.lengths.__getitem__):
+            for t in sorted(steps, key=lengths.__getitem__):
                 self._resolve(t, steps.pop(t))  # frees each split list once used
         return entries[triple]
 
@@ -281,7 +299,8 @@ class ProductClosure:
         are resolved.  A triple of length 1 has no splits, only edges."""
         entries = self.entries
         if not splits:
-            code, pid = self._edges[triple]
+            pid = self._edges[triple]
+            code = self._chars[self._productions[pid].rhs[0]]
             entries[triple] = ShortestEntry(code, self._names, pid)
             return
         if len(splits) == 1:
@@ -293,6 +312,58 @@ class ProductClosure:
                 for pid, left, right in splits
             )
         entries[triple] = ShortestEntry(code, self._names, pid, left, right)
+
+
+class LazyEntries(Mapping[Triple, ShortestEntry]):
+    """A read-only view of a closure's canonical entries in which every
+    realizable triple is present and resolved on first access.  Keys,
+    ``len`` and ``in`` come from ``lengths``; iterating the items resolves
+    every triple."""
+
+    __slots__ = ("_closure",)
+
+    def __init__(self, closure: ProductClosure):
+        self._closure = closure
+
+    def __getitem__(self, triple: Triple) -> ShortestEntry:
+        entry = self._closure.entries.get(triple)
+        if entry is not None:
+            return entry
+        if triple not in self._closure.lengths:
+            raise KeyError(triple)
+        return self._closure.entry(triple)
+
+    def __contains__(self, triple: object) -> bool:
+        return triple in self._closure.lengths
+
+    def __iter__(self) -> Iterator[Triple]:
+        return iter(self._closure.lengths)
+
+    def __len__(self) -> int:
+        return len(self._closure.lengths)
+
+
+class ShortestTable:
+    """Exact minimum yield length and canonical witness per realizable
+    triple; unrealizable triples are simply absent.  Lengths are settled
+    when the table is built; a witness is resolved when its entry is first
+    read, together with the shorter triples it may be built from.  The
+    table keeps its ``ProductClosure`` for that."""
+
+    __slots__ = ("closure", "entries")
+
+    def __init__(self, closure: ProductClosure):
+        self.closure = closure
+        self.entries: Mapping[Triple, ShortestEntry] = LazyEntries(closure)
+
+    def __contains__(self, triple: Triple) -> bool:
+        return triple in self.closure.lengths
+
+    def length(self, triple: Triple) -> int | None:
+        return self.closure.lengths.get(triple)
+
+    def realizable(self) -> frozenset[Triple]:
+        return frozenset(self.closure.lengths)
 
 
 def derivation_path(entries: Mapping[Triple, ShortestEntry], triple: Triple) -> tuple:
@@ -333,11 +404,11 @@ def derivation_tree(root: Triple, parts: Callable[[Triple], tuple]) -> ParseTree
 
 
 def shortest_words(tg: TripleGrammar) -> ShortestTable:
-    """Compute minimum yield lengths for all realizable triples, then pick a
-    canonical witness per triple: lexicographically smallest word of minimum
-    length, ties broken by smallest production id and split node."""
-    product = ProductClosure(tg.grammar, tg.automaton.transitions)
-    return ShortestTable(product.resolve_all())
+    """Compute minimum yield lengths for all realizable triples.  The
+    canonical witness of a triple (lexicographically smallest word of
+    minimum length, ties broken by smallest production id and split node)
+    is resolved when the table's entry is first read."""
+    return ShortestTable(ProductClosure(tg.grammar, tg.automaton.transitions))
 
 
 @dataclass(frozen=True)
@@ -350,9 +421,10 @@ class Witness:
 def extract_witness(tg: TripleGrammar, table: ShortestTable, triple: Triple) -> Witness:
     """Shortest word, its parse tree in the base grammar, and a graph path
     spelling it.  Raises UnrealizableTripleError for absent triples."""
-    if triple not in table.entries:
+    if triple not in table:
         raise UnrealizableTripleError("triple %r derives no word" % (triple,))
-    entries = table.entries
+    root = table.closure.entry(triple)
+    entries = table.closure.entries  # every triple below the root is resolved
 
     def parts(t: Triple) -> tuple:
         entry = entries[t]
@@ -361,7 +433,7 @@ def extract_witness(tg: TripleGrammar, table: ShortestTable, triple: Triple) -> 
         return entry.left, entry.right
 
     tree = derivation_tree(triple, parts)
-    return Witness(entries[triple].word, tree, derivation_path(entries, triple))
+    return Witness(root.word, tree, derivation_path(entries, triple))
 
 
 def shortest_start(
@@ -375,24 +447,21 @@ def shortest_start(
     """
     if tg.empty_word_states():
         return 0, (), None
-    best = min(
-        (
-            (entry.length, entry.code, triple)
-            for triple, entry in table.entries.items()
-            if tg.is_start(triple)
-        ),
-        default=None,
-    )
+    closure = table.closure
+    start, nfa = tg.grammar.start, tg.automaton
+    best = closure.least_start(start, nfa.initial, nfa.accepting)
     if best is None:
         return None
     length, _code, triple = best
-    return length, table.entries[triple].word, triple
+    return length, closure.entries[triple].word, triple
 
 
 def realizable_start_pairs(tg: TripleGrammar, table: ShortestTable) -> frozenset[tuple[str, str]]:
     """Start pairs (i, j) whose intersection language from the start symbol
     is nonempty, including empty-word pairs."""
-    pairs = {triple[1:] for triple in table.entries if tg.is_start(triple)}
+    nfa = tg.automaton
+    rows = table.closure.start_rows(tg.grammar.start, nfa.initial, nfa.accepting)
+    pairs = {(i, j) for _d, i, j in rows}
     pairs.update((i, i) for i in tg.empty_word_states())
     return frozenset(pairs)
 

@@ -204,30 +204,19 @@ def _automata_for(
         )
 
 
-def _evaluate_automaton(grammar: CNFGrammar, nfa: NFA) -> tuple[int, str] | None:
+def _evaluate_automaton(
+    grammar: CNFGrammar, nfa: NFA, floor: int = 0
+) -> tuple[int, str] | None:
     """Length and word code of ``shortest_start`` for one automaton, or
-    None when the intersection is empty.  The start triples are read from
-    the closure's rows of the initial states, and only those of minimum
-    length are resolved."""
-    product = bar_hillel(grammar, nfa)
-    if product.empty_word_states():
-        return 0, ""
+    None when the intersection is empty or its shortest word is shorter
+    than ``floor``.  The start triples are read from the closure's rows of
+    the initial states, and only those of minimum length are resolved, so
+    an automaton below the floor resolves none."""
+    if bar_hillel(grammar, nfa).empty_word_states():
+        return (0, "") if floor <= 0 else None
     closure = ProductClosure(grammar, nfa.transitions)
-    start = grammar.start
-    rows = closure.by_source[start]
-    accepting = nfa.accepting
-    starts = [
-        (length, i, j)
-        for i in nfa.initial
-        for j, length in rows.get(i, ())
-        if j in accepting
-    ]
-    if not starts:
-        return None
-    shortest = min(length for length, _i, _j in starts)
-    return shortest, min(
-        closure.entry((start, i, j)).code for length, i, j in starts if length == shortest
-    )
+    best = closure.least_start(grammar.start, nfa.initial, nfa.accepting, floor)
+    return None if best is None else best[:2]
 
 
 def measure_rho(
@@ -240,7 +229,9 @@ def measure_rho(
 
     Automata with empty intersections are skipped.  The reduction is
     order-insensitive (max on value, ties to the smallest witness word then
-    id); it compares word codes and decodes only the winner's word.  The
+    id); it compares word codes and decodes only the winner's word.  Each
+    automaton is evaluated with the best length so far as its floor, so one
+    whose shortest word is shorter resolves no witness.  The
     sweep always runs in the calling process, one automaton after another;
     ``workers`` is accepted for compatibility and has no effect.
     """
@@ -267,7 +258,7 @@ def measure_rho(
     tested = 0
     for ident, nfa in tested_automata:
         tested += 1
-        result = _evaluate_automaton(g, nfa)
+        result = _evaluate_automaton(g, nfa, best[0] if best else 0)
         if result is None:
             continue
         length, code = result

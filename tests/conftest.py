@@ -21,6 +21,19 @@ Desc(x, y) :- Child(x, z), Desc(z, y).
 """
 
 
+def two_regular_dyck_graph(seed, n):
+    """The text of a graph with edges along two seeded random permutations
+    of nodes v0..v(n-1), each labeled a or b at random: every node has two
+    edges out and two in."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(2):
+        image = list(range(n))
+        rng.shuffle(image)
+        lines += ["v%d\t%s\tv%d\n" % (u, rng.choice("ab"), image[u]) for u in range(n)]
+    return "".join(lines)
+
+
 @pytest.fixture
 def anbn():
     return parse_grammar(ANBN_TEXT)

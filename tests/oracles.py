@@ -12,7 +12,13 @@ from collections import deque
 
 from ratindex.grammar import CNFGrammar, Grammar, Production, cyk_membership, trim_useless
 from ratindex.graphs import NFA, LabeledGraph
-from ratindex.intersection import ProductClosure, UnrealizableTripleError, shortest_words
+from ratindex.intersection import (
+    ProductClosure,
+    UnrealizableTripleError,
+    bar_hillel,
+    shortest_words,
+)
+from ratindex.measure import BudgetExceededError, Exhaustive, RhoEstimate, _automata_for
 
 
 def derives(g: Grammar, word) -> bool:
@@ -227,6 +233,25 @@ def resolve_by_tuple_words(g: CNFGrammar, transitions, closure) -> dict:
     return entries, tied
 
 
+def splits_by_node_scan(g: CNFGrammar, lengths, nodes, triple) -> list:
+    """Reference for ``ProductClosure.splits``: every (production id, left,
+    right) with left and right realized and their lengths summing to the
+    triple's, found by trying every binary rule of its head at every node.
+    Sorted."""
+    head, i, j = triple
+    found = []
+    for pid, prod in enumerate(g.productions):
+        if prod.lhs == head and len(prod.rhs) == 2:
+            b, c = prod.rhs
+            for k in nodes:
+                left, right = (b, i, k), (c, k, j)
+                if left in lengths and right in lengths and (
+                    lengths[left] + lengths[right] == lengths[triple]
+                ):
+                    found.append((pid, left, right))
+    return sorted(found)
+
+
 def sweep_by_tuple_words(g: CNFGrammar, automata):
     """Reference for the reduction of ``measure_rho``: per automaton the
     smallest (length, word) over its start triples from tuple-word entries,
@@ -292,6 +317,42 @@ def realizable_start_pairs_scan(tg, table) -> frozenset[tuple[str, str]]:
     if tg.grammar.epsilon_at_start:
         found.update((i, j) for i, j in pairs if i == j)
     return frozenset(found)
+
+
+def measure_rho_without_floor(g: CNFGrammar, n: int, strategy) -> RhoEstimate:
+    """Reference for ``measure_rho``: every tested automaton's shortest
+    start word from its whole ``shortest_words`` table, read by
+    ``shortest_start_scan``; the estimate has the largest length, ties to
+    the smallest word, then the smallest id.  Like ``measure_rho``, raises
+    ``BudgetExceededError`` with the partial estimate when an exhaustive
+    sweep has more automata than its budget."""
+    budget = strategy.budget if isinstance(strategy, Exhaustive) else None
+    best = None
+    tested = 0
+    truncated = False
+    for ident, nfa in _automata_for(strategy, n, sorted(g.terminals)):
+        if tested == budget:
+            truncated = True
+            break
+        tested += 1
+        product = bar_hillel(g, nfa)
+        found = shortest_start_scan(product, shortest_words(product))
+        if found is not None:
+            key = (-found[0], found[1], ident)
+            if best is None or key < best[0]:
+                best = (key, nfa)
+    estimate = RhoEstimate(
+        n=n,
+        value=-best[0][0] if best else None,
+        witness_automaton=best[1] if best else None,
+        witness_word=best[0][1] if best else None,
+        witness_id=best[0][2] if best else None,
+        tested_count=tested,
+        exhaustive=isinstance(strategy, Exhaustive) and not truncated,
+    )
+    if truncated:
+        raise BudgetExceededError("budget of %d automata exceeded" % budget, estimate)
+    return estimate
 
 
 def _encode(

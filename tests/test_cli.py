@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ from ratindex.cli import main
 from ratindex.graphs import nfa_to_text
 from ratindex.measure import two_cycle_family
 
-from conftest import ANBN_TEXT, EXAMPLE_PROGRAM
+from conftest import ANBN_TEXT, EXAMPLE_PROGRAM, two_regular_dyck_graph
 
 CHILD_GRAPH_TSV = "1\tchild\t2\n2\tchild\t3\n"
 
@@ -308,3 +309,36 @@ def test_selftest_runs_clean():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+def test_shortest_and_reach_golden_on_a_tie_rich_graph(capsys, tmp_path):
+    # 24 nodes, 48 edges: 788 realizable triples, 400 related pairs, and
+    # many start pairs and splits tied at each minimum length
+    grammar = tmp_path / "dyck.cfg"
+    grammar.write_text("S -> S S | a S b | a b\n")
+    edges = two_regular_dyck_graph(3, 24)
+    graph = tmp_path / "dyck.tsv"
+    graph.write_text(edges)
+    code, out, err = run_cli(
+        capsys, "shortest", "--grammar", str(grammar), "--graph", str(graph), "--witness"
+    )
+    assert (code, out, err) == (0, "2\tab\npath\tv1 v16 v7\n", "")
+    expected = {
+        "v1": (1, "", "L ∩ K = ∅\n"),
+        "v5": (0, "10\taabbaabbab\npath\tv0 v3 v20 v4 v23 v16 v0 v6 v8 v5 v5\n", ""),
+        "v11": (0, "4\taabb\npath\tv0 v3 v14 v20 v11\n", ""),
+        "v17": (0, "10\taabababbab\npath\tv0 v3 v20 v4 v1 v19 v11 v9 v2 v21 v17\n", ""),
+    }
+    for accepting, golden in expected.items():
+        nfa = tmp_path / ("to_%s.nfa" % accepting)
+        nfa.write_text("initial: v0\naccepting: %s\n%s" % (accepting, edges))
+        found = run_cli(
+            capsys, "shortest", "--grammar", str(grammar), "--nfa", str(nfa), "--witness"
+        )
+        assert found == golden
+    code, out, err = run_cli(capsys, "reach", "--grammar", str(grammar), "--graph", str(graph))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 400
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "88e451ec647bcb5d572cc1f37cb7ff57ac6bb51e715e62fb9ed6e9510e03af02"
+    )

@@ -1,7 +1,7 @@
 import pytest
 
 from ratindex.grammar import cyk_membership, is_valid_parse_tree, parse_grammar, to_cnf
-from ratindex.graphs import NFA, LabeledGraph, parse_nfa
+from ratindex.graphs import NFA, LabeledGraph, parse_graph, parse_nfa
 from ratindex.intersection import (
     ProductClosure,
     UnrealizableTripleError,
@@ -23,8 +23,11 @@ from oracles import (
     resolve_by_tuple_words,
     shortest_intersection_bfs,
     shortest_start_scan,
+    splits_by_node_scan,
     walks_up_to,
 )
+
+from conftest import two_regular_dyck_graph
 
 
 @pytest.fixture
@@ -410,3 +413,80 @@ def test_entries_over_a_wide_alphabet_match_the_tuple_word_resolution(rng):
     assert entries_as_tuples(closure, closure.lengths) == expected
     assert len(expected) >= 500
     assert max(max(map(ord, e.code)) for e in closure.entries.values()) > 255
+
+
+def test_lazy_tables_match_the_tuple_word_resolution(rng):
+    tied = renamed = epsilon_grammars = nonempty = 0
+    for trial in range(1000):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=3, epsilon_weight=0.15)
+        if trial % 3 == 0:
+            g = rename_terminals(g, UP_DOWN_FLAT)
+            renamed += 1
+        epsilon_grammars += g.epsilon_at_start
+        letters = sorted(g.terminals)
+        if trial % 2:
+            automaton = random_nfa(rng, rng.randint(1, 4), letters)
+        else:
+            n = rng.randint(1, 8)
+            automaton = random_graph(rng, n, letters, rng.randint(1, 3 * n))
+        product = bar_hillel(g, automaton)
+        transitions = product.automaton.transitions
+        closure = ProductClosure(g, transitions)
+        nodes = product.automaton.states
+        for triple in closure.lengths:
+            assert sorted(closure.splits(triple)) == splits_by_node_scan(
+                g, closure.lengths, nodes, triple
+            )
+        expected, ties = resolve_by_tuple_words(g, transitions, closure)
+        tied += ties
+        table = shortest_words(product)
+        assert set(table.entries) == set(expected) and len(table.entries) == len(expected)
+        # the start queries first on half of the tables, after every entry
+        # has been read on the other half
+        queries_first = trial % 4 < 2
+        if queries_first:
+            best = shortest_start(product, table)
+            pairs = realizable_start_pairs(product, table)
+        triples = list(expected)
+        rng.shuffle(triples)
+        found = {t: table.entries[t] for t in triples}
+        assert {
+            t: (e.word, e.production, e.left, e.right) for t, e in found.items()
+        } == expected
+        if not queries_first:
+            best = shortest_start(product, table)
+            pairs = realizable_start_pairs(product, table)
+        assert best == shortest_start_scan(product, table)
+        assert pairs == realizable_start_pairs_scan(product, table)
+        nonempty += best is not None
+    assert renamed >= 300 and tied >= 200 and epsilon_grammars >= 100 and nonempty >= 500
+
+
+def test_lazy_table_rejects_unrealizable_triples():
+    g = to_cnf(parse_grammar("S -> a S b | a b\n"))
+    table = shortest_words(bar_hillel(g, LabeledGraph.from_edges([("1", "a", "2")])))
+    assert ("S", "1", "2") not in table.entries and table.length(("S", "1", "2")) is None
+    assert table.entries.get(("S", "1", "2")) is None
+    with pytest.raises(KeyError):
+        table.entries[("S", "1", "2")]
+    assert len(table.entries) == 1 and table.realizable() == {("T_a", "1", "2")}
+
+
+def test_shortest_queries_resolve_few_triples(monkeypatch):
+    resolved = []
+    resolve = ProductClosure._resolve
+
+    def counting_resolve(self, triple, splits):
+        resolved.append(triple)
+        resolve(self, triple, splits)
+
+    monkeypatch.setattr(ProductClosure, "_resolve", counting_resolve)
+    g = to_cnf(parse_grammar("S -> S S | a S b | a b\n"))
+    product = bar_hillel(g, parse_graph(two_regular_dyck_graph(1, 64)))
+    table = shortest_words(product)
+    length, word, triple = shortest_start(product, table)
+    witness = extract_witness(product, table, triple)
+    assert (length, word, witness.word) == (2, ("a", "b"), ("a", "b"))
+    realizable = len(table.realizable())
+    assert realizable == 3832
+    assert 0 < len(resolved) < realizable // 10

@@ -35,6 +35,7 @@ from ratindex.sampling import random_cnf_grammar, random_nfa
 from oracles import (
     UP_DOWN_FLAT,
     enumerate_nfas_bruteforce,
+    measure_rho_without_floor,
     rename_terminals,
     shortest_intersection_bfs,
     sweep_by_tuple_words,
@@ -297,6 +298,49 @@ def test_random_sweeps_match_the_tuple_word_reduction(rng):
         estimate = measure_rho(g, 4, strategy)
         found = (estimate.value, estimate.witness_word, estimate.witness_id, 60)
         assert found == sweep_by_tuple_words(g, _automata_for(strategy, 4, sorted(g.terminals)))
+
+
+def sweep_outcome(sweep, g, n, strategy):
+    """The estimate of a sweep, or the partial one when it runs out of budget."""
+    try:
+        return sweep(g, n, strategy)
+    except BudgetExceededError as err:
+        return "partial", err.partial
+
+
+@pytest.mark.parametrize(
+    "text, n, strategy",
+    [
+        ("S -> S S | a S b | a b\n", 2, Exhaustive()),
+        ("S -> a S b | a b\n", 3, Exhaustive(budget=3000)),
+        ("S -> S S | a S b | a b\n", 3, Exhaustive(budget=3000)),
+        ("S -> S up S | down |\n", 3, Exhaustive(budget=3000)),
+        ("S -> S S | up S down | up down\n", 5, RandomSample(count=300, seed=5)),
+        ("S -> up S down | flat S | up down\n", 6, RandomSample(count=200, seed=6)),
+    ],
+)
+def test_sweeps_match_the_floor_free_reduction(text, n, strategy):
+    g = to_cnf(parse_grammar(text))
+    found = sweep_outcome(measure_rho, g, n, strategy)
+    assert found == sweep_outcome(measure_rho_without_floor, g, n, strategy)
+
+
+def test_random_grammar_sweeps_match_the_floor_free_reduction(rng):
+    epsilon_grammars = budgeted = 0
+    for seed in range(30):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2, epsilon_weight=0.2)
+        epsilon_grammars += g.epsilon_at_start
+        if seed % 3 == 0:
+            strategy, n = Exhaustive(), rng.randint(1, 2)
+        elif seed % 3 == 1:
+            strategy, n = Exhaustive(budget=1000), 3
+        else:
+            g = rename_terminals(g, UP_DOWN_FLAT)
+            strategy, n = RandomSample(count=80, seed=seed), 4
+        found = sweep_outcome(measure_rho, g, n, strategy)
+        budgeted += isinstance(found, tuple)
+        assert found == sweep_outcome(measure_rho_without_floor, g, n, strategy)
+    assert epsilon_grammars >= 3 and budgeted == 10
 
 
 def test_pool_matches_serial_beyond_one_batch(anbn_cnf):
