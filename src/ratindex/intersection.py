@@ -12,7 +12,17 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    ItemsView,
+    Mapping,
+    Union,
+    ValuesView,
+)
 
 from .errors import RatIndexError
 from .graphs import NFA, LabeledGraph
@@ -289,10 +299,14 @@ class ProductClosure:
         return entries[triple]
 
     def resolve_all(self) -> dict[Triple, ShortestEntry]:
-        """Resolve every realizable triple; returns ``entries``."""
-        for triple in sorted(self.lengths, key=self.lengths.__getitem__):
+        """Resolve every realizable triple not resolved yet, in one pass,
+        shortest first; returns ``entries``."""
+        entries = self.entries
+        for triple in sorted(
+            (t for t in self.lengths if t not in entries), key=self.lengths.__getitem__
+        ):
             self._resolve(triple, self.splits(triple))
-        return self.entries
+        return entries
 
     def _resolve(self, triple: Triple, splits: list[tuple[int, Triple, Triple]]) -> None:
         """Pick the canonical entry of a triple from its splits, whose parts
@@ -317,8 +331,9 @@ class ProductClosure:
 class LazyEntries(Mapping[Triple, ShortestEntry]):
     """A read-only view of a closure's canonical entries in which every
     realizable triple is present and resolved on first access.  Keys,
-    ``len`` and ``in`` come from ``lengths``; iterating the items resolves
-    every triple."""
+    ``len`` and ``in`` come from ``lengths`` and resolve nothing; ``items``
+    and ``values`` first resolve every triple not resolved yet, in one
+    ``resolve_all`` pass."""
 
     __slots__ = ("_closure",)
 
@@ -341,6 +356,14 @@ class LazyEntries(Mapping[Triple, ShortestEntry]):
 
     def __len__(self) -> int:
         return len(self._closure.lengths)
+
+    def items(self) -> ItemsView[Triple, ShortestEntry]:
+        self._closure.resolve_all()
+        return super().items()
+
+    def values(self) -> ValuesView[ShortestEntry]:
+        self._closure.resolve_all()
+        return super().values()
 
 
 class ShortestTable:

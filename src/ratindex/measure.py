@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from .errors import RatIndexError
 from .grammar import CNFGrammar
 from .graphs import NFA
-from .intersection import ProductClosure, bar_hillel, decode, word_codec
+from .intersection import ProductClosure, TripleGrammar, decode, word_codec
 from .sampling import random_nfa
 
 log = logging.getLogger(__name__)
@@ -205,16 +205,20 @@ def _automata_for(
 
 
 def _evaluate_automaton(
-    grammar: CNFGrammar, nfa: NFA, floor: int = 0
+    grammar: CNFGrammar, nfa: NFA, floor: int = 0, closure: ProductClosure | None = None
 ) -> tuple[int, str] | None:
     """Length and word code of ``shortest_start`` for one automaton, or
     None when the intersection is empty or its shortest word is shorter
     than ``floor``.  The start triples are read from the closure's rows of
     the initial states, and only those of minimum length are resolved, so
-    an automaton below the floor resolves none."""
-    if bar_hillel(grammar, nfa).empty_word_states():
+    an automaton below the floor resolves none.  ``closure`` is the
+    ``ProductClosure`` of ``nfa.transitions``, possibly shared with other
+    automata over the same transitions; it is built here when not given,
+    and neither built nor read when the empty word answers."""
+    if TripleGrammar(grammar, nfa).empty_word_states():
         return (0, "") if floor <= 0 else None
-    closure = ProductClosure(grammar, nfa.transitions)
+    if closure is None:
+        closure = ProductClosure(grammar, nfa.transitions)
     best = closure.least_start(grammar.start, nfa.initial, nfa.accepting, floor)
     return None if best is None else best[:2]
 
@@ -231,9 +235,16 @@ def measure_rho(
     order-insensitive (max on value, ties to the smallest witness word then
     id); it compares word codes and decodes only the winner's word.  Each
     automaton is evaluated with the best length so far as its floor, so one
-    whose shortest word is shorter resolves no witness.  The
-    sweep always runs in the calling process, one automaton after another;
-    ``workers`` is accepted for compatibility and has no effect.
+    whose shortest word is shorter resolves no witness.
+
+    A product closure depends on the transitions only, not on the initial
+    and accepting states, so consecutive automata with equal transitions
+    (``enumerate_nfas`` yields all those of a transition set back to back)
+    share one, with the witnesses it has resolved.  Only the last closure
+    is kept, and it is built when the first automaton of its transitions
+    that the empty word does not answer reaches it.  The sweep always runs
+    in the calling process, one automaton after another; ``workers`` is
+    accepted for compatibility and has no effect.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -256,9 +267,15 @@ def measure_rho(
 
     best: tuple[int, str, str, NFA] | None = None
     tested = 0
+    closure: ProductClosure | None = None
+    closure_of = None  # the transitions of ``closure``
     for ident, nfa in tested_automata:
         tested += 1
-        result = _evaluate_automaton(g, nfa, best[0] if best else 0)
+        shared = nfa.transitions == closure_of
+        if not shared and not TripleGrammar(g, nfa).empty_word_states():
+            closure, closure_of = ProductClosure(g, nfa.transitions), nfa.transitions
+            shared = True
+        result = _evaluate_automaton(g, nfa, best[0] if best else 0, closure if shared else None)
         if result is None:
             continue
         length, code = result

@@ -490,3 +490,39 @@ def test_shortest_queries_resolve_few_triples(monkeypatch):
     realizable = len(table.realizable())
     assert realizable == 3832
     assert 0 < len(resolved) < realizable // 10
+
+
+def test_lazy_items_and_values_resolve_the_rest_in_one_pass(monkeypatch, rng):
+    resolved = []
+    resolve = ProductClosure._resolve
+
+    def counting_resolve(self, triple, splits):
+        resolved.append(triple)
+        resolve(self, triple, splits)
+
+    monkeypatch.setattr(ProductClosure, "_resolve", counting_resolve)
+    nonempty = 0
+    for trial in range(200):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2, epsilon_weight=0.15)
+        n = rng.randint(1, 8)
+        graph = random_graph(rng, n, sorted(g.terminals), rng.randint(1, 3 * n))
+        table = shortest_words(bar_hillel(g, graph))
+        del resolved[:]
+        keys = list(table.entries)
+        assert len(table.entries) == len(keys) and all(t in table.entries for t in keys)
+        assert resolved == []  # keys, len and in resolve nothing
+        for t in rng.sample(keys, len(keys) // 3):
+            table.entries[t]
+        before = len(resolved)
+        if trial % 2:
+            found = dict(table.entries.items())
+        else:
+            found = dict(zip(keys, table.entries.values()))
+        # every triple once in all, the rest in one pass, shortest first
+        assert sorted(resolved) == sorted(keys)
+        rest = [table.length(t) for t in resolved[before:]]
+        assert rest == sorted(rest)
+        expected, _ = resolve_by_tuple_words(g, graph.edges, table.closure)
+        assert {t: (e.word, e.production, e.left, e.right) for t, e in found.items()} == expected
+        nonempty += len(rest) > 1 and before > 0
+    assert nonempty >= 50

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import ratindex.measure
 from ratindex.bounds import (
     BoundFormula,
     dimension_bound,
@@ -15,8 +16,15 @@ from ratindex.bounds import (
     ultralinear_bound,
 )
 from ratindex.grammar import parse_grammar, to_cnf
-from ratindex.graphs import parse_nfa
-from ratindex.intersection import bar_hillel, decode, shortest_start, shortest_words, word_codec
+from ratindex.graphs import NFA, parse_nfa
+from ratindex.intersection import (
+    ProductClosure,
+    bar_hillel,
+    decode,
+    shortest_start,
+    shortest_words,
+    word_codec,
+)
 from ratindex.measure import (
     BudgetExceededError,
     DegenerateInputError,
@@ -271,6 +279,59 @@ def test_sweep_evaluation_takes_the_smallest_tied_word():
             for k, state in enumerate(states)
         )
         assert evaluate_words(g, parse_nfa(text)) == (1, ("a",))
+
+
+def test_pairs_evaluated_through_one_shared_closure_match_fresh_closures(rng):
+    epsilon_grammars = nonempty = floored = 0
+    for _ in range(300):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2, epsilon_weight=0.2)
+        epsilon_grammars += g.epsilon_at_start
+        m = rng.randint(1, 3)
+        transitions = random_nfa(rng, m, "ab", rng.choice([0.2, 0.4, 0.6])).transitions
+        states = ["q%d" % k for k in range(m)]
+        subsets = [
+            frozenset(c) for size in range(1, m + 1) for c in itertools.combinations(states, size)
+        ]
+        pairs = list(itertools.product(subsets, repeat=2))
+        # later pairs read the entries that earlier ones resolved
+        rng.shuffle(pairs)
+        shared = ProductClosure(g, transitions)
+        for initial, accepting in pairs:
+            nfa = NFA(frozenset(states), frozenset("ab"), transitions, initial, accepting)
+            floor = rng.randint(0, 8)
+            result = _evaluate_automaton(g, nfa, floor, shared)
+            assert result == _evaluate_automaton(g, nfa, floor)
+            assert result == _evaluate_automaton(g, nfa, floor, ProductClosure(g, transitions))
+            nonempty += result is not None and result[0] > 0
+            floored += result is None and _evaluate_automaton(g, nfa) is not None
+    assert epsilon_grammars >= 30 and nonempty >= 500 and floored >= 500
+
+
+@pytest.mark.parametrize(
+    "text, n, closures",
+    [
+        # 140 transition sets over {a, b} with at most two states, 1,164
+        # automata
+        ("S -> a S b | a b\n", 2, 140),
+        # the four one-state sets only have I = F = {q0}, which the empty
+        # word answers, so they build no closure
+        ("S -> S up S | down |\n", 2, 136),
+    ],
+)
+def test_sweeps_build_one_closure_per_transition_set(monkeypatch, text, n, closures):
+    built = []
+
+    class CountingClosure(ProductClosure):
+        def __init__(self, g, transitions):
+            built.append(transitions)
+            super().__init__(g, transitions)
+
+    g = to_cnf(parse_grammar(text))
+    expected = measure_rho(g, n, Exhaustive())
+    monkeypatch.setattr(ratindex.measure, "ProductClosure", CountingClosure)
+    assert measure_rho(g, n, Exhaustive()) == expected
+    assert expected.tested_count == 1164
+    assert len(built) == closures
 
 
 @pytest.mark.parametrize(
