@@ -34,6 +34,20 @@ def two_regular_dyck_graph(seed, n):
     return "".join(lines)
 
 
+def permutation_dyck_graph(seed, n):
+    """The text of a graph with `a` edges along one seeded random
+    permutation of nodes v0..v(n-1) and `b` edges along another, the shape
+    of the bench's dense-graph workload: every node has one `a` and one `b`
+    edge out and in."""
+    rng = random.Random(seed)
+    lines = []
+    for label in "ab":
+        image = list(range(n))
+        rng.shuffle(image)
+        lines += ["v%d\t%s\tv%d\n" % (u, label, image[u]) for u in range(n)]
+    return "".join(lines)
+
+
 @pytest.fixture
 def anbn():
     return parse_grammar(ANBN_TEXT)

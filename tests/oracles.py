@@ -7,6 +7,7 @@ algorithms under test.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 
@@ -126,6 +127,71 @@ def shortest_intersection_bfs(
             return length, min(hits)
         level = next_level
     return None
+
+
+def is_start(tg, triple) -> bool:
+    """A start triple of the product is (S, i, j) with i initial and j
+    accepting."""
+    head, i, j = triple
+    nfa = tg.automaton
+    return head == tg.grammar.start and i in nfa.initial and j in nfa.accepting
+
+
+def reference_closure(g: CNFGrammar, transitions, counts=None, wide=2):
+    """Reference for ``ProductClosure``: the same bucket-by-bucket closure
+    (Knuth's generalisation of Dijkstra's algorithm) in which every join
+    probe builds its candidate triple and tests it against ``lengths``.
+    Returns ``(lengths, by_source)``.  When ``counts`` is a dict, it gets
+    the number of pops with at least ``wide`` partners for some rule
+    (``"wide_pops"``) and the number of probes of such rules whose
+    candidate already has length 1 (``"wide_edge_probes"``)."""
+    by_source = {a: {} for a in g.nonterminals}
+    by_target = {a: {} for a in g.nonterminals}
+    terminal_rules: dict = {}
+    joins: dict = {}
+    for prod in g.productions:
+        if len(prod.rhs) == 1:
+            terminal_rules.setdefault(prod.rhs[0], []).append(prod.lhs)
+        elif len(prod.rhs) == 2:
+            b, c = prod.rhs
+            joins.setdefault(b, []).append((prod.lhs, by_source[c], True))
+            joins.setdefault(c, []).append((prod.lhs, by_target[b], False))
+    lengths: dict = {}
+    for src, label, dst in transitions:
+        for head in terminal_rules.get(label, ()):
+            lengths[(head, src, dst)] = 1
+    buckets = {1: list(lengths)}
+    pending = [1]
+    wide_pops = wide_edge_probes = 0
+    while pending:
+        d = heapq.heappop(pending)
+        for triple in buckets.pop(d):
+            if lengths[triple] != d:
+                continue
+            head, i, j = triple
+            by_source[head].setdefault(i, []).append((j, d))
+            by_target[head].setdefault(j, []).append((i, d))
+            wide_pop = False
+            for parent, partner_parts, on_right in joins.get(head, ()):
+                partners = partner_parts.get(j if on_right else i, ())
+                wide_rule = len(partners) >= wide
+                wide_pop = wide_pop or wide_rule
+                for node, d2 in partners:
+                    candidate = (parent, i, node) if on_right else (parent, node, j)
+                    total = d + d2
+                    wide_edge_probes += wide_rule and lengths.get(candidate) == 1
+                    if lengths.get(candidate, total + 1) > total:
+                        lengths[candidate] = total
+                        bucket = buckets.get(total)
+                        if bucket is None:
+                            buckets[total] = [candidate]
+                            heapq.heappush(pending, total)
+                        else:
+                            bucket.append(candidate)
+            wide_pops += wide_pop
+    if counts is not None:
+        counts.update(wide_pops=wide_pops, wide_edge_probes=wide_edge_probes)
+    return lengths, by_source
 
 
 def productions_for(tg, triple):

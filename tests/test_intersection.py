@@ -1,8 +1,10 @@
 import pytest
 
+import ratindex.intersection
 from ratindex.grammar import cyk_membership, is_valid_parse_tree, parse_grammar, to_cnf
 from ratindex.graphs import NFA, LabeledGraph, parse_graph, parse_nfa
 from ratindex.intersection import (
+    ROW_PARTNERS,
     ProductClosure,
     UnrealizableTripleError,
     bar_hillel,
@@ -19,6 +21,7 @@ from oracles import (
     UP_DOWN_FLAT,
     materialize,
     realizable_start_pairs_scan,
+    reference_closure,
     rename_terminals,
     resolve_by_tuple_words,
     shortest_intersection_bfs,
@@ -526,3 +529,31 @@ def test_lazy_items_and_values_resolve_the_rest_in_one_pass(monkeypatch, rng):
         assert {t: (e.word, e.production, e.left, e.right) for t, e in found.items()} == expected
         nonempty += len(rest) > 1 and before > 0
     assert nonempty >= 50
+
+
+@pytest.mark.parametrize("row_partners", [ROW_PARTNERS, 2])
+def test_closure_matches_the_tuple_keyed_reference(monkeypatch, rng, row_partners):
+    # Bound rows only turn away probes that ``lengths`` would turn away, so
+    # the lengths, their key order and the rows ``by_source`` are those of
+    # the loop that probes ``lengths`` alone.  With the row threshold at 2,
+    # every pop with two or more partners goes through a row.
+    monkeypatch.setattr(ratindex.intersection, "ROW_PARTNERS", row_partners)
+    wide = edge_probed = 0
+    for trial in range(600):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2)
+        n = rng.randint(1, 12)
+        letters = sorted(g.terminals)
+        if trial % 2:
+            edges = rng.choice((n, n * n, 2 * n * n))  # sparse to dense
+            transitions = random_graph(rng, n, letters, edges).edges
+        else:
+            transitions = random_nfa(rng, n, letters, rng.choice((0.15, 0.5, 0.9))).transitions
+        counts = {}
+        lengths, by_source = reference_closure(g, transitions, counts, wide=row_partners)
+        closure = ProductClosure(g, transitions)
+        assert list(closure.lengths.items()) == list(lengths.items())
+        assert closure.by_source == by_source
+        wide += counts["wide_pops"] > 0
+        # a parent with a terminal rule: its row learns a length-1 triple
+        edge_probed += counts["wide_edge_probes"] > 0
+    assert wide >= 100 and edge_probed >= 50

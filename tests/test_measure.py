@@ -43,6 +43,7 @@ from ratindex.sampling import random_cnf_grammar, random_nfa
 from oracles import (
     UP_DOWN_FLAT,
     enumerate_nfas_bruteforce,
+    is_start,
     measure_rho_without_floor,
     rename_terminals,
     shortest_intersection_bfs,
@@ -260,7 +261,7 @@ def test_sweep_evaluation_matches_the_full_table(rng):
         overlapping += bool(nfa.initial & nfa.accepting)
         if best is not None and best[0] > 0:
             nonempty += 1
-            starts = [t for t, e in table.entries.items() if product.is_start(t)]
+            starts = [t for t, e in table.entries.items() if is_start(product, t)]
             tied += sum(table.length(t) == best[0] for t in starts) > 1
     assert epsilon_grammars >= 30 and overlapping >= 30
     assert nonempty >= 100 and tied >= 30

@@ -1,9 +1,16 @@
+import random
+
 import pytest
 
 from ratindex.datalog import chain_to_cfg, parse_chain_program
 from ratindex.grammar import cyk_membership, parse_grammar, to_cnf
-from ratindex.graphs import LabeledGraph
-from ratindex.intersection import bar_hillel, realizable_start_pairs, shortest_words
+from ratindex.graphs import LabeledGraph, parse_graph
+from ratindex.intersection import (
+    ProductClosure,
+    bar_hillel,
+    realizable_start_pairs,
+    shortest_words,
+)
 from ratindex.reachability import (
     NotReachableError,
     all_pairs_reach,
@@ -12,8 +19,8 @@ from ratindex.reachability import (
 )
 from ratindex.sampling import random_cnf_grammar, random_graph
 
-from conftest import EXAMPLE_PROGRAM
-from oracles import walks_up_to
+from conftest import EXAMPLE_PROGRAM, permutation_dyck_graph
+from oracles import reference_closure, resolve_by_tuple_words, walks_up_to
 
 
 @pytest.fixture
@@ -141,3 +148,24 @@ def test_witness_is_the_canonical_shortest_word(rng):
                 assert word == table.entries[(g.start, i, j)].word
                 assert len(nodes) == len(word) + 1
             done += 1
+
+
+def test_dense_reach_matches_the_tuple_keyed_reference():
+    # 100 nodes in the dense-graph bench's shape: 20,200 triples, and the
+    # bound rows of the closure turn away nearly every join probe.
+    g = to_cnf(parse_grammar("S -> S S | a S b | a b\n"))
+    graph = parse_graph(permutation_dyck_graph(5, 100))
+    relation = all_pairs_reach(g, graph)
+    lengths, _ = reference_closure(g, graph.edges)
+    assert len(lengths) == 20200
+    assert relation.facts == frozenset(lengths)
+    closure = ProductClosure(g, graph.edges)
+    assert list(closure.lengths.items()) == list(lengths.items())
+    expected, _ = resolve_by_tuple_words(g, graph.edges, closure)
+    rng = random.Random(100)
+    nodes = sorted(graph.nodes)
+    for _ in range(20):
+        i, j = rng.choice(nodes), rng.choice(nodes)
+        path, word = witness(relation, i, j)
+        assert word == expected[("S", i, j)][0]
+        assert all((u, a, v) in graph.edges for u, a, v in zip(path, word, path[1:]))
