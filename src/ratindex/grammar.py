@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -140,6 +141,34 @@ class CNFGrammar(Grammar):
         for nt in self.nonterminals:
             if nt not in generating or nt not in reachable:
                 raise GrammarError("useless nonterminal %r in CNF grammar" % nt)
+
+    @functools.cached_property
+    def fixed_lengths(self) -> dict[str, int]:
+        """The nonterminals whose words all have one length, with that
+        length: those whose rules all give one length, a terminal rule 1 and
+        a binary rule the sum of its children's, where both children are
+        such nonterminals.  Nonterminals with terminal rules only are the
+        case of length 1.  Computed once per grammar and shared, so callers
+        must not change it."""
+        rules: dict[str, list[tuple[str, ...]]] = {}
+        for prod in self.productions:
+            if prod.rhs:
+                rules.setdefault(prod.lhs, []).append(prod.rhs)
+        fixed: dict[str, int] = {}
+        grew = True
+        while grew:
+            grew = False
+            for head, bodies in rules.items():
+                if head in fixed or not all(
+                    len(body) == 1 or (body[0] in fixed and body[1] in fixed) for body in bodies
+                ):
+                    continue
+                found = {1 if len(body) == 1 else fixed[body[0]] + fixed[body[1]]
+                         for body in bodies}
+                if len(found) == 1:
+                    fixed[head] = found.pop()
+                    grew = True
+        return fixed
 
 
 # ---------------------------------------------------------------------------

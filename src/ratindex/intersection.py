@@ -98,12 +98,13 @@ def decode(names: tuple[str, ...], code: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True, slots=True)
 class ShortestEntry:
-    """The canonical witness of a triple.  The word is stored as its code
-    (see ``word_codec``), one character per symbol, and ``word`` decodes it
-    to a tuple of terminal names on each access.  A tuple would cost 8
-    bytes and a reference per symbol: for the two-cycle automaton 61:67
-    with ``S -> a S b | a b`` (witness length 8,174), ``measure_rho`` peaks
-    at about 38 MB under tracemalloc, against 273 MB with tuple words."""
+    """The canonical witness of a triple, as handed out by
+    ``ProductClosure.entry``.  The word is stored as its code (see
+    ``word_codec``), one character per symbol, and ``word`` decodes it to a
+    tuple of terminal names on each access.  A closure keeps no entry for a
+    triple it has not handed out: its table of canonical steps is a
+    straight-line program for every word, and an entry's code is spelled
+    from it when the entry is built."""
 
     code: str
     names: tuple[str, ...] = field(repr=False)  # the terminals by rank
@@ -160,13 +161,28 @@ class ProductClosure:
     pops read it, so shorter partner lists, as in chains, trees and graphs
     of a few nodes, probe ``lengths`` directly.
 
-    ``entries`` holds the canonical entries resolved so far: the
-    lexicographically smallest word of minimum length, ties broken by the
-    smallest production id, then the smallest split node.  Words are built
-    and compared as codes (see ``word_codec``).  A settled closure keeps only
-    what resolution reads: ``lengths``, ``by_source``, the binary rules, the
-    production id of each length-1 triple and, for the nonterminals without
-    binary rules, their length-1 triples by target node.
+    The canonical witness of a triple is its lexicographically smallest
+    word of minimum length, ties broken by the smallest production id, then
+    the smallest split node.  ``steps`` holds the canonical step of every
+    triple resolved so far, (production id, left, right) for a binary step
+    and (production id, None, None) for an edge: a back-pointer table in
+    which each word is a walk, a straight-line program in the sense of
+    Lohrey's survey of SLP-compressed strings (2012).  Words are compared
+    and returned as codes (see ``word_codec``), and a code exists only
+    where something reads it: the parts of a tied triple's splits, whose
+    concatenations the tie compares, the start triples of minimum length
+    that ``least_start`` compares, and the triples handed out by ``code``
+    and ``entry``.  Codes are memoized per triple, and a walk copies the
+    memoized codes of the triples it meets, so a derivation with no tie
+    builds no code below its root; ``path_and_word`` walks the steps and
+    builds no code at all.  ``entries`` holds the ``ShortestEntry`` of
+    every triple handed out so far; ``resolve_all`` builds one for every
+    triple, with codes concatenated bottom-up.
+
+    A settled closure keeps only what resolution reads: ``lengths``,
+    ``by_source``, the binary rules, the production id of each length-1
+    triple and, for the nonterminals whose words all have one length (see
+    ``splits``), their triples by target node.
     """
 
     def __init__(self, g: CNFGrammar, transitions: Iterable[tuple[Hashable, str, Hashable]]):
@@ -174,8 +190,7 @@ class ProductClosure:
         # node, as (other node, length) in the order they were settled.
         # Keying by nonterminal first stores no (nonterminal, node) tuple per
         # key.  Only the joins read ``by_target``; once the closure settles,
-        # it is kept for the nonterminals without binary rules only, whose
-        # triples are edges.
+        # it is kept for the nonterminals of one word length only.
         by_source: dict[str, dict[Hashable, list[tuple[Hashable, int]]]] = {
             a: {} for a in g.nonterminals
         }
@@ -264,14 +279,16 @@ class ProductClosure:
                                 bucket.append(candidate)
 
         self.lengths = lengths
-        self.entries: dict[Triple, ShortestEntry] = {}
         self.by_source = by_source
+        self.steps: dict[Triple, tuple[int, Triple | None, Triple | None]] = {}
+        self.entries: dict[Triple, ShortestEntry] = {}
+        self._codes: dict[Triple, str] = {}
         self._pair_rules = pair_rules
         self._edges = edges
         self._productions = productions
         self._chars = chars
         self._names = names
-        self._edges_by_target = {c: by_target[c] for c in by_target if c not in pair_rules}
+        self._fixed_by_target = {c: (ell, by_target[c]) for c, ell in g.fixed_lengths.items()}
 
     def start_rows(
         self, start: str, initial: Iterable[Hashable], accepting: frozenset
@@ -286,7 +303,7 @@ class ProductClosure:
     ) -> tuple[int, str, Triple] | None:
         """The smallest (length, code, triple) over ``start_rows``, or None
         when there is none or its length is below ``floor``.  Only the
-        triples of minimum length are resolved."""
+        triples of minimum length are resolved and spelled."""
         rows = self.start_rows(start, initial, accepting)
         if not rows:
             return None
@@ -294,7 +311,7 @@ class ProductClosure:
         if shortest < floor:
             return None
         code, triple = min(
-            (self.entry(t).code, t) for t in ((start, i, j) for d, i, j in rows if d == shortest)
+            (self.code(t), t) for t in ((start, i, j) for d, i, j in rows if d == shortest)
         )
         return shortest, code, triple
 
@@ -302,76 +319,154 @@ class ProductClosure:
         """The binary steps (production id, left, right) that derive a
         realizable triple at its shortest length.  Per rule, the realized
         left parts (``by_source``) are walked in the order they were
-        settled, shortest first, up to the triple's length; when the right
-        child has no binary rule, its parts are the edges into the target,
-        and those are walked instead."""
+        settled, shortest first, up to the triple's length.  When every word
+        of the right child has one length, its realized parts into the
+        target are walked instead, and a left part must have the rest of the
+        length."""
         head, i, j = triple
         d = self.lengths[triple]
         lengths = self.lengths
         by_source = self.by_source
-        edges_by_target = self._edges_by_target
+        fixed_by_target = self._fixed_by_target
         found = []
         for pid, b, c in self._pair_rules.get(head, ()):
-            edges_in = edges_by_target.get(c)
-            if edges_in is None:
+            fixed = fixed_by_target.get(c)
+            if fixed is None:
                 for k, dl in by_source[b].get(i, ()):
                     if dl >= d:
                         break
                     if lengths.get((c, k, j)) == d - dl:
                         found.append((pid, (b, i, k), (c, k, j)))
             else:
-                for k, _one in edges_in.get(j, ()):
-                    if lengths.get((b, i, k)) == d - 1:
+                ell, by_target = fixed
+                rest = d - ell
+                for k, _ell in by_target.get(j, ()):
+                    if lengths.get((b, i, k)) == rest:
                         found.append((pid, (b, i, k), (c, k, j)))
         return found
 
+    def code(self, triple: Triple) -> str:
+        """The code of the canonical word of a realizable triple."""
+        code = self._codes.get(triple)
+        if code is None:
+            self._resolve_below(triple)
+            code = self._spell(triple)
+        return code
+
+    def path_and_word(self, triple: Triple) -> tuple[tuple, tuple[str, ...]]:
+        """The nodes of the path and the word spelled by the canonical
+        derivation of a realizable triple, in one walk left to right over
+        ``steps`` without recursion."""
+        self._resolve_below(triple)
+        steps, productions = self.steps, self._productions
+        path = [triple[1]]
+        word = []
+        stack = [triple]
+        while stack:
+            t = stack.pop()
+            pid, left, right = steps[t]
+            if left is None:
+                path.append(t[2])
+                word.append(productions[pid].rhs[0])
+            else:
+                stack += (right, left)
+        return tuple(path), tuple(word)
+
     def entry(self, triple: Triple) -> ShortestEntry:
-        """The canonical entry of a realizable triple.  The triples that its
-        shortest derivations may use are resolved first, shortest first."""
-        entries = self.entries
-        if triple not in entries:
-            lengths = self.lengths
-            steps: dict[Triple, list] = {}
-            stack = [triple]
-            while stack:
-                t = stack.pop()
-                if t not in steps and t not in entries:
-                    # a triple of length 1 has no splits, only edges
-                    steps[t] = found = self.splits(t) if lengths[t] > 1 else []
-                    for _pid, left, right in found:
-                        stack += (left, right)
-            for t in sorted(steps, key=lengths.__getitem__):
-                self._resolve(t, steps.pop(t))  # frees each split list once used
-        return entries[triple]
+        """The canonical entry of a realizable triple."""
+        entry = self.entries.get(triple)
+        if entry is None:
+            code = self.code(triple)
+            entry = self.entries[triple] = ShortestEntry(code, self._names, *self.steps[triple])
+        return entry
 
     def resolve_all(self) -> dict[Triple, ShortestEntry]:
-        """Resolve every realizable triple not resolved yet, in one pass,
-        shortest first; returns ``entries``."""
-        entries = self.entries
+        """Resolve every realizable triple not resolved yet and build the
+        entry of every triple not handed out yet, in one pass, shortest
+        first, each code the concatenation of its parts' codes; returns
+        ``entries``."""
+        entries, steps, codes = self.entries, self.steps, self._codes
+        names, chars, productions = self._names, self._chars, self._productions
         for triple in sorted(
             (t for t in self.lengths if t not in entries), key=self.lengths.__getitem__
         ):
-            self._resolve(triple, self.splits(triple))
+            if triple not in steps:
+                self._resolve(triple, self.splits(triple))
+            step = pid, left, right = steps[triple]
+            code = codes.get(triple)
+            if code is None:
+                code = codes[triple] = (
+                    chars[productions[pid].rhs[0]] if left is None else codes[left] + codes[right]
+                )
+            entries[triple] = ShortestEntry(code, names, *step)
         return entries
 
-    def _resolve(self, triple: Triple, splits: list[tuple[int, Triple, Triple]]) -> None:
-        """Pick the canonical entry of a triple from its splits, whose parts
-        are resolved.  A triple of length 1 has no splits, only edges."""
-        entries = self.entries
-        if not splits:
-            pid = self._edges[triple]
-            code = self._chars[self._productions[pid].rhs[0]]
-            entries[triple] = ShortestEntry(code, self._names, pid)
+    def _resolve_below(self, triple: Triple) -> None:
+        """Resolve a realizable triple and the triples that its shortest
+        derivations may use, shortest first."""
+        steps = self.steps
+        if triple in steps:
             return
-        if len(splits) == 1:
-            pid, left, right = splits[0]
-            code = entries[left].code + entries[right].code
+        lengths = self.lengths
+        found_by: dict[Triple, list] = {}
+        stack = [triple]
+        while stack:
+            t = stack.pop()
+            if t not in found_by and t not in steps:
+                # a triple of length 1 has no splits, only edges
+                found_by[t] = found = self.splits(t) if lengths[t] > 1 else []
+                for _pid, left, right in found:
+                    stack += (left, right)
+        for t in sorted(found_by, key=lengths.__getitem__):
+            self._resolve(t, found_by.pop(t))  # frees each split list once used
+
+    def _resolve(self, triple: Triple, splits: list[tuple[int, Triple, Triple]]) -> None:
+        """Record the canonical step of a triple from its splits, whose parts
+        are resolved.  A triple of length 1 has no splits, only edges.  Only
+        a tie reads codes: those of its splits' parts."""
+        if not splits:
+            self.steps[triple] = (self._edges[triple], None, None)
+        elif len(splits) == 1:
+            self.steps[triple] = splits[0]
         else:
-            code, pid, _k, left, right = min(
-                (entries[left].code + entries[right].code, pid, left[2], left, right)
-                for pid, left, right in splits
+            codes, spell = self._codes, self._spell
+            _code, _pid, _k, n = min(
+                ((codes.get(left) or spell(left)) + (codes.get(right) or spell(right)),
+                 pid, left[2], n)
+                for n, (pid, left, right) in enumerate(splits)
             )
-        entries[triple] = ShortestEntry(code, self._names, pid, left, right)
+            self.steps[triple] = splits[n]
+
+    def _spell(self, triple: Triple) -> str:
+        """Spell and memoize the code of a resolved triple whose code is not
+        memoized: the concatenation of its parts' codes when both are
+        memoized, or else one walk over ``steps`` that copies the memoized
+        codes of the triples it meets.  Only the code asked for is
+        memoized."""
+        codes = self._codes
+        pid, left, right = self.steps[triple]
+        if left is None:
+            code = self._chars[self._productions[pid].rhs[0]]
+        elif left in codes and right in codes:
+            code = codes[left] + codes[right]
+        else:
+            steps, chars, productions = self.steps, self._chars, self._productions
+            parts = []
+            stack = [right, left]
+            while stack:
+                t = stack.pop()
+                known = codes.get(t)
+                if known is not None:
+                    parts.append(known)
+                    continue
+                pid, left, right = steps[t]
+                if left is None:
+                    parts.append(chars[productions[pid].rhs[0]])
+                else:
+                    stack += (right, left)
+            code = "".join(parts)
+        codes[triple] = code
+        return code
 
 
 class LazyEntries(Mapping[Triple, ShortestEntry]):
@@ -435,21 +530,6 @@ class ShortestTable:
         return frozenset(self.closure.lengths)
 
 
-def derivation_path(entries: Mapping[Triple, ShortestEntry], triple: Triple) -> tuple:
-    """The nodes of the path spelled by the canonical derivation of a
-    resolved triple, walked left to right without recursion."""
-    path = [triple[1]]
-    stack = [triple]
-    while stack:
-        t = stack.pop()
-        entry = entries[t]
-        if entry.left is None:
-            path.append(t[2])
-        else:
-            stack += (entry.right, entry.left)
-    return tuple(path)
-
-
 def derivation_tree(root: Triple, parts: Callable[[Triple], tuple]) -> ParseTree:
     """The parse tree of a derivation in the base grammar.  ``parts(t)`` is
     (left, right) for a binary step and (terminal,) for an edge step.  Built
@@ -492,17 +572,19 @@ def extract_witness(tg: TripleGrammar, table: ShortestTable, triple: Triple) -> 
     spelling it.  Raises UnrealizableTripleError for absent triples."""
     if triple not in table:
         raise UnrealizableTripleError("triple %r derives no word" % (triple,))
-    root = table.closure.entry(triple)
-    entries = table.closure.entries  # every triple below the root is resolved
+    closure = table.closure
+    path, word = closure.path_and_word(triple)
+    steps = closure.steps  # every triple below the root is resolved
+    productions = tg.grammar.productions
 
     def parts(t: Triple) -> tuple:
-        entry = entries[t]
-        if entry.left is None:
-            return (entry.names[ord(entry.code)],)  # the edge's terminal
-        return entry.left, entry.right
+        pid, left, right = steps[t]
+        if left is None:
+            return productions[pid].rhs  # the edge's terminal
+        return left, right
 
     tree = derivation_tree(triple, parts)
-    return Witness(root.word, tree, derivation_path(entries, triple))
+    return Witness(word, tree, path)
 
 
 def shortest_start(
@@ -521,8 +603,8 @@ def shortest_start(
     best = closure.least_start(start, nfa.initial, nfa.accepting)
     if best is None:
         return None
-    length, _code, triple = best
-    return length, closure.entries[triple].word, triple
+    length, code, triple = best
+    return length, decode(word_codec(tg.grammar.terminals)[1], code), triple
 
 
 def realizable_start_pairs(tg: TripleGrammar, table: ShortestTable) -> frozenset[tuple[str, str]]:

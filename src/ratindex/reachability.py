@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from .errors import RatIndexError
 from .grammar import CNFGrammar
 from .graphs import LabeledGraph
-from .intersection import ProductClosure, derivation_path
+from .intersection import ProductClosure
 
 Fact = tuple[str, str, str]  # (nonterminal, source, target)
 
@@ -63,5 +63,4 @@ def witness(
         raise NotReachableError("%r does not reach %r" % (source, target))
     if source == target and rel.grammar.epsilon_at_start:
         return (source,), ()
-    word = rel._product.entry(fact).word
-    return derivation_path(rel._product.entries, fact), word
+    return rel._product.path_and_word(fact)

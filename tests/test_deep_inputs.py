@@ -74,6 +74,23 @@ def test_measure_rho_two_cycle_61_67_memory(anbn_cnf):
     assert peak < 60_000_000
 
 
+@pytest.mark.parametrize("p, q, value, bound", [
+    # words stored per triple peaked at 36 MB here and 567 MB at 127:131
+    (61, 67, 8174, 10_000_000),
+    (127, 131, 33274, 100_000_000),
+])
+def test_measure_rho_two_cycle_witness_memory(anbn_cnf, p, q, value, bound):
+    tracemalloc.start()
+    try:
+        estimate = measure_rho(anbn_cnf, p + q, TwoCycle(p, q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate.value == value
+    assert estimate.witness_word == ("a",) * (value // 2) + ("b",) * (value // 2)
+    assert peak < bound
+
+
 @pytest.mark.parametrize("pairs, value", [("23:29", 1334), ("31:37", 2294)])
 def test_cli_measure_rho_long_two_cycles(capsys, tmp_path, pairs, value):
     grammar = tmp_path / "anbn.cfg"

@@ -418,6 +418,50 @@ def test_entries_over_a_wide_alphabet_match_the_tuple_word_resolution(rng):
     assert max(max(map(ord, e.code)) for e in closure.entries.values()) > 255
 
 
+def long_ties(closure, expected, at_least):
+    """The number of triples whose expected word has at least ``at_least``
+    symbols and comes from two or more of their splits."""
+    count = 0
+    for triple, (word, *_rest) in expected.items():
+        if len(word) >= at_least:
+            words = [expected[left][0] + expected[right][0] for _pid, left, right in
+                     closure.splits(triple)]
+            count += words.count(word) > 1
+    return count
+
+
+def test_long_tied_words_match_the_tuple_word_resolution(rng):
+    # Graphs of 16-40 nodes and two-cycle automata: ties among splits whose
+    # words run to tens of symbols, resolved on demand in a random order on
+    # half of the instances and through ``items`` on the other half
+    tied = 0
+    instances = 0
+    for text in ("S -> S S | a S b | a b\n", "S -> S S | a S b | c S d | a b | c d\n"):
+        g = to_cnf(parse_grammar(text))
+        letters = sorted(g.terminals)
+        automata = [two_cycle_family(p, q) for p, q in ((3, 4), (4, 5), (5, 7), (7, 9))]
+        for _ in range(10):
+            n = rng.randint(16, 40)
+            automata.append(random_graph(rng, n, letters, rng.randint(2 * n, 3 * n)))
+        for automaton in automata:
+            product = bar_hillel(g, automaton)
+            table = shortest_words(product)
+            closure = table.closure
+            expected, _ = resolve_by_tuple_words(g, product.automaton.transitions, closure)
+            tied += long_ties(closure, expected, 8)
+            if instances % 2:
+                found = {
+                    t: (e.word, e.production, e.left, e.right) for t, e in table.entries.items()
+                }
+            else:
+                triples = list(closure.lengths)
+                rng.shuffle(triples)
+                found = entries_as_tuples(closure, triples)
+            assert found == expected
+            instances += 1
+    assert tied >= 200
+
+
 def test_lazy_tables_match_the_tuple_word_resolution(rng):
     tied = renamed = epsilon_grammars = nonempty = 0
     for trial in range(1000):
