@@ -172,17 +172,20 @@ class ProductClosure:
     where something reads it: the parts of a tied triple's splits, whose
     concatenations the tie compares, the start triples of minimum length
     that ``least_start`` compares, and the triples handed out by ``code``
-    and ``entry``.  Codes are memoized per triple, and a walk copies the
-    memoized codes of the triples it meets, so a derivation with no tie
-    builds no code below its root; ``path_and_word`` walks the steps and
-    builds no code at all.  ``entries`` holds the ``ShortestEntry`` of
-    every triple handed out so far; ``resolve_all`` builds one for every
-    triple, with codes concatenated bottom-up.
+    and ``entry``.  ``code`` memoizes one code per triple, and a walk
+    copies the memoized codes of the triples it meets, so a derivation with
+    no tie builds no code below its root; ``path_and_word`` walks the steps
+    and builds no code at all.  ``entries`` holds the ``ShortestEntry`` of
+    every triple handed out so far, and ``entry`` is the one reader that
+    fills it on demand (a ``ShortestTable`` reads through it);
+    ``resolve_all`` builds one for every triple, with codes concatenated
+    bottom-up.
 
     A settled closure keeps only what resolution reads: ``lengths``,
-    ``by_source``, the binary rules, the production id of each length-1
-    triple and, for the nonterminals whose words all have one length (see
-    ``splits``), their triples by target node.
+    ``by_source``, the start symbol, whose rows ``start_rows`` and
+    ``least_start`` read, the binary rules, the production id of each
+    length-1 triple and, for the nonterminals whose words all have one
+    length (see ``splits``), their triples by target node.
     """
 
     def __init__(self, g: CNFGrammar, transitions: Iterable[tuple[Hashable, str, Hashable]]):
@@ -283,6 +286,7 @@ class ProductClosure:
         self.steps: dict[Triple, tuple[int, Triple | None, Triple | None]] = {}
         self.entries: dict[Triple, ShortestEntry] = {}
         self._codes: dict[Triple, str] = {}
+        self._start = g.start
         self._pair_rules = pair_rules
         self._edges = edges
         self._productions = productions
@@ -291,25 +295,28 @@ class ProductClosure:
         self._fixed_by_target = {c: (ell, by_target[c]) for c, ell in g.fixed_lengths.items()}
 
     def start_rows(
-        self, start: str, initial: Iterable[Hashable], accepting: frozenset
-    ) -> list[tuple[int, Hashable, Hashable]]:
-        """The realized triples (start, i, j) with i initial and j accepting,
-        as (length, i, j), read from the rows ``by_source[start][i]``."""
-        rows = self.by_source[start]
-        return [(d, i, j) for i in initial for j, d in rows.get(i, ()) if j in accepting]
+        self, initial: Iterable[Hashable], accepting: frozenset
+    ) -> Iterator[tuple[int, Hashable, Hashable]]:
+        """The realized start triples (S, i, j) with i initial and j
+        accepting, as (length, i, j), read lazily from the rows
+        ``by_source[S][i]``: a caller that keeps only pairs never holds
+        every row at once."""
+        rows = self.by_source[self._start]
+        return ((d, i, j) for i in initial for j, d in rows.get(i, ()) if j in accepting)
 
     def least_start(
-        self, start: str, initial: Iterable[Hashable], accepting: frozenset, floor: int = 0
+        self, initial: Iterable[Hashable], accepting: frozenset, floor: int = 0
     ) -> tuple[int, str, Triple] | None:
         """The smallest (length, code, triple) over ``start_rows``, or None
         when there is none or its length is below ``floor``.  Only the
         triples of minimum length are resolved and spelled."""
-        rows = self.start_rows(start, initial, accepting)
+        rows = list(self.start_rows(initial, accepting))
         if not rows:
             return None
         shortest = min(d for d, _i, _j in rows)
         if shortest < floor:
             return None
+        start = self._start
         code, triple = min(
             (self.code(t), t) for t in ((start, i, j) for d, i, j in rows if d == shortest)
         )
@@ -346,11 +353,38 @@ class ProductClosure:
         return found
 
     def code(self, triple: Triple) -> str:
-        """The code of the canonical word of a realizable triple."""
-        code = self._codes.get(triple)
-        if code is None:
-            self._resolve_below(triple)
-            code = self._spell(triple)
+        """The code of the canonical word of a realizable triple, memoized.
+        A code not memoized yet is the character of an edge, the
+        concatenation of its parts' codes when both are memoized, or else
+        one walk over ``steps`` that copies the memoized codes of the
+        triples it meets.  Only the code asked for is memoized."""
+        codes = self._codes
+        code = codes.get(triple)
+        if code is not None:
+            return code
+        self._resolve_below(triple)
+        steps, chars, productions = self.steps, self._chars, self._productions
+        pid, left, right = steps[triple]
+        if left is None:
+            code = chars[productions[pid].rhs[0]]
+        elif left in codes and right in codes:
+            code = codes[left] + codes[right]
+        else:
+            parts = []
+            stack = [right, left]
+            while stack:
+                t = stack.pop()
+                known = codes.get(t)
+                if known is not None:
+                    parts.append(known)
+                    continue
+                pid, left, right = steps[t]
+                if left is None:
+                    parts.append(chars[productions[pid].rhs[0]])
+                else:
+                    stack += (right, left)
+            code = "".join(parts)
+        codes[triple] = code
         return code
 
     def path_and_word(self, triple: Triple) -> tuple[tuple, tuple[str, ...]]:
@@ -373,7 +407,8 @@ class ProductClosure:
         return tuple(path), tuple(word)
 
     def entry(self, triple: Triple) -> ShortestEntry:
-        """The canonical entry of a realizable triple."""
+        """The canonical entry of a triple, built and kept on first request;
+        raises KeyError for a triple that is not realizable."""
         entry = self.entries.get(triple)
         if entry is None:
             code = self.code(triple)
@@ -429,99 +464,56 @@ class ProductClosure:
         elif len(splits) == 1:
             self.steps[triple] = splits[0]
         else:
-            codes, spell = self._codes, self._spell
+            code = self.code
             _code, _pid, _k, n = min(
-                ((codes.get(left) or spell(left)) + (codes.get(right) or spell(right)),
-                 pid, left[2], n)
+                (code(left) + code(right), pid, left[2], n)
                 for n, (pid, left, right) in enumerate(splits)
             )
             self.steps[triple] = splits[n]
 
-    def _spell(self, triple: Triple) -> str:
-        """Spell and memoize the code of a resolved triple whose code is not
-        memoized: the concatenation of its parts' codes when both are
-        memoized, or else one walk over ``steps`` that copies the memoized
-        codes of the triples it meets.  Only the code asked for is
-        memoized."""
-        codes = self._codes
-        pid, left, right = self.steps[triple]
-        if left is None:
-            code = self._chars[self._productions[pid].rhs[0]]
-        elif left in codes and right in codes:
-            code = codes[left] + codes[right]
-        else:
-            steps, chars, productions = self.steps, self._chars, self._productions
-            parts = []
-            stack = [right, left]
-            while stack:
-                t = stack.pop()
-                known = codes.get(t)
-                if known is not None:
-                    parts.append(known)
-                    continue
-                pid, left, right = steps[t]
-                if left is None:
-                    parts.append(chars[productions[pid].rhs[0]])
-                else:
-                    stack += (right, left)
-            code = "".join(parts)
-        codes[triple] = code
-        return code
 
-
-class LazyEntries(Mapping[Triple, ShortestEntry]):
-    """A read-only view of a closure's canonical entries in which every
-    realizable triple is present and resolved on first access.  Keys,
-    ``len`` and ``in`` come from ``lengths`` and resolve nothing; ``items``
-    and ``values`` first resolve every triple not resolved yet, in one
-    ``resolve_all`` pass."""
-
-    __slots__ = ("_closure",)
-
-    def __init__(self, closure: ProductClosure):
-        self._closure = closure
-
-    def __getitem__(self, triple: Triple) -> ShortestEntry:
-        entry = self._closure.entries.get(triple)
-        if entry is not None:
-            return entry
-        if triple not in self._closure.lengths:
-            raise KeyError(triple)
-        return self._closure.entry(triple)
-
-    def __contains__(self, triple: object) -> bool:
-        return triple in self._closure.lengths
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self._closure.lengths)
-
-    def __len__(self) -> int:
-        return len(self._closure.lengths)
-
-    def items(self) -> ItemsView[Triple, ShortestEntry]:
-        self._closure.resolve_all()
-        return super().items()
-
-    def values(self) -> ValuesView[ShortestEntry]:
-        self._closure.resolve_all()
-        return super().values()
-
-
-class ShortestTable:
+class ShortestTable(Mapping[Triple, ShortestEntry]):
     """Exact minimum yield length and canonical witness per realizable
-    triple; unrealizable triples are simply absent.  Lengths are settled
-    when the table is built; a witness is resolved when its entry is first
-    read, together with the shorter triples it may be built from.  The
-    table keeps its ``ProductClosure`` for that."""
+    triple: a read-only mapping from every realizable triple to its
+    ``ShortestEntry``, in which unrealizable triples are simply absent.
+    Lengths are settled when the table is built, and keys, ``len``, ``in``
+    and ``length`` read them and resolve nothing.  An entry is resolved
+    when it is first read, together with the shorter triples it may be
+    built from; ``items`` and ``values`` first resolve every triple not
+    resolved yet, in one ``resolve_all`` pass.  The table keeps its
+    ``ProductClosure`` for that.  As a ``Mapping`` it is false when empty,
+    equal to a mapping with the same entries (which resolves both), and
+    unhashable."""
 
-    __slots__ = ("closure", "entries")
+    __slots__ = ("closure",)
 
     def __init__(self, closure: ProductClosure):
         self.closure = closure
-        self.entries: Mapping[Triple, ShortestEntry] = LazyEntries(closure)
 
-    def __contains__(self, triple: Triple) -> bool:
+    @property
+    def entries(self) -> ShortestTable:
+        """The table itself, for callers that read ``table.entries``."""
+        return self
+
+    def __getitem__(self, triple: Triple) -> ShortestEntry:
+        return self.closure.entry(triple)
+
+    def __contains__(self, triple: object) -> bool:
         return triple in self.closure.lengths
+
+    def __iter__(self) -> Iterator[Triple]:
+        return iter(self.closure.lengths)
+
+    def __len__(self) -> int:
+        return len(self.closure.lengths)
+
+    def items(self) -> ItemsView[Triple, ShortestEntry]:
+        self.closure.resolve_all()
+        return super().items()
+
+    def values(self) -> ValuesView[ShortestEntry]:
+        self.closure.resolve_all()
+        return super().values()
 
     def length(self, triple: Triple) -> int | None:
         return self.closure.lengths.get(triple)
@@ -598,9 +590,8 @@ def shortest_start(
     """
     if tg.empty_word_states():
         return 0, (), None
-    closure = table.closure
-    start, nfa = tg.grammar.start, tg.automaton
-    best = closure.least_start(start, nfa.initial, nfa.accepting)
+    nfa = tg.automaton
+    best = table.closure.least_start(nfa.initial, nfa.accepting)
     if best is None:
         return None
     length, code, triple = best
@@ -611,7 +602,7 @@ def realizable_start_pairs(tg: TripleGrammar, table: ShortestTable) -> frozenset
     """Start pairs (i, j) whose intersection language from the start symbol
     is nonempty, including empty-word pairs."""
     nfa = tg.automaton
-    rows = table.closure.start_rows(tg.grammar.start, nfa.initial, nfa.accepting)
+    rows = table.closure.start_rows(nfa.initial, nfa.accepting)
     pairs = {(i, j) for _d, i, j in rows}
     pairs.update((i, i) for i in tg.empty_word_states())
     return frozenset(pairs)

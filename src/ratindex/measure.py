@@ -26,6 +26,9 @@ from .sampling import random_nfa
 
 log = logging.getLogger(__name__)
 
+# The largest alphabet an exhaustive sweep enumerates automata over.
+GUARD_ALPHABET = 2
+
 
 class BudgetExceededError(RatIndexError):
     """Raised when an exhaustive sweep would enumerate too many automata.
@@ -64,7 +67,6 @@ class Exhaustive:
 
     budget: int = 200_000
     guard_n: int = 3
-    guard_alphabet: int = 2
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def _evaluate_automaton(
         return (0, "") if floor <= 0 else None
     if closure is None:
         closure = ProductClosure(grammar, nfa.transitions)
-    best = closure.least_start(grammar.start, nfa.initial, nfa.accepting, floor)
+    best = closure.least_start(nfa.initial, nfa.accepting, floor)
     return None if best is None else best[:2]
 
 
@@ -255,10 +257,9 @@ def measure_rho(
             raise ValueError(
                 "exhaustive enumeration is guarded to n <= %d" % strategy.guard_n
             )
-        if len(alphabet) > strategy.guard_alphabet:
+        if len(alphabet) > GUARD_ALPHABET:
             raise ValueError(
-                "exhaustive enumeration is guarded to alphabets of size <= %d"
-                % strategy.guard_alphabet
+                "exhaustive enumeration is guarded to alphabets of size <= %d" % GUARD_ALPHABET
             )
 
     budget = strategy.budget if exhaustive else None

@@ -26,8 +26,14 @@ class ReachabilityRelation:
     _product: ProductClosure = field(repr=False, compare=False)
 
     def start_pairs(self) -> frozenset[tuple[str, str]]:
-        start = self.grammar.start
-        return frozenset((i, j) for (a, i, j) in self.facts if a == start)
+        """The pairs (i, j) of the start-symbol facts, read from the
+        closure's start rows, with the empty paths (i, i) when the grammar
+        derives the empty word."""
+        nodes = self.graph.nodes
+        pairs = frozenset((i, j) for _d, i, j in self._product.start_rows(nodes, nodes))
+        if self.grammar.epsilon_at_start:
+            pairs = pairs.union((i, i) for i in nodes)
+        return pairs
 
 
 def all_pairs_reach(g: CNFGrammar, d: LabeledGraph) -> ReachabilityRelation:

@@ -75,19 +75,12 @@ class WellNestedWord:
 def matching_pairs(word: WellNestedWord) -> tuple[tuple[int, int], ...]:
     """Match every push to its pop; positions are 1-based, pairs sorted by
     opening position.  Raises UnbalancedWordError on unbalanced input."""
-    stack: list[int] = []
     pairs: list[tuple[int, int]] = []
-    for pos, move in enumerate(word.moves, start=1):
-        if move == PUSH:
-            stack.append(pos)
-        else:
-            if not stack:
-                raise UnbalancedWordError("pop at position %d has no matching push" % pos)
-            pairs.append((stack.pop(), pos))
-    if stack:
-        raise UnbalancedWordError(
-            "push at position %d has no matching pop" % stack[-1]
-        )
+    stack = matching_forest(word)
+    while stack:
+        node = stack.pop()
+        pairs.append((node.open, node.close))
+        stack += node.children
     pairs.sort()
     return tuple(pairs)
 

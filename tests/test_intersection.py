@@ -539,6 +539,19 @@ def test_shortest_queries_resolve_few_triples(monkeypatch):
     assert 0 < len(resolved) < realizable // 10
 
 
+@pytest.mark.parametrize("p, q, steps", [(7, 9, 142), (13, 17, 472), (31, 37, 2362)])
+def test_a_shortest_query_and_its_witness_spell_one_code(anbn_cnf, p, q, steps):
+    # the start triple's code is the only one memoized; the tie-free
+    # derivation below it and the witness walk spell none
+    product = bar_hillel(anbn_cnf, two_cycle_family(p, q))
+    table = shortest_words(product)
+    _length, _word, triple = shortest_start(product, table)
+    extract_witness(product, table, triple)
+    assert table.entries is table
+    assert len(table.closure._codes) == 1
+    assert len(table.closure.steps) == steps
+
+
 def test_lazy_items_and_values_resolve_the_rest_in_one_pass(monkeypatch, rng):
     resolved = []
     resolve = ProductClosure._resolve

@@ -88,6 +88,18 @@ def test_reachability_equals_realizable_triples(rng):
         assert relation.start_pairs() == realizable_start_pairs(product, table)
 
 
+def test_start_pairs_equal_a_scan_of_the_start_facts(rng):
+    epsilon_grammars = 0
+    for _ in range(300):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2, epsilon_weight=0.2)
+        n = rng.randint(1, 10)
+        graph = random_graph(rng, n, sorted(g.terminals), rng.randint(0, 3 * n))
+        rel = all_pairs_reach(g, graph)
+        assert rel.start_pairs() == frozenset((i, j) for (a, i, j) in rel.facts if a == g.start)
+        epsilon_grammars += g.epsilon_at_start
+    assert epsilon_grammars >= 100
+
+
 def test_reachability_agrees_with_walk_oracle(rng):
     done = 0
     while done < 25:
