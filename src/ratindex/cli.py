@@ -41,7 +41,7 @@ from .measure import (
     fit_growth,
     measure_rho,
 )
-from .reachability import all_pairs_reach
+from .reachability import reach_pairs
 from .trees import dimension
 from .wellnested import alpha_of_tree, oscillation, oscillation_bruteforce
 
@@ -101,8 +101,7 @@ def cmd_shortest(args) -> int:
 def cmd_reach(args) -> int:
     g = to_cnf(_load_grammar(args.grammar))
     graph = parse_graph(_read(args.graph))
-    relation = all_pairs_reach(g, graph)
-    for i, j in sorted(relation.start_pairs()):
+    for i, j in sorted(reach_pairs(g, graph)):
         if args.source is not None and i != args.source:
             continue
         if args.target is not None and j != args.target:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import RatIndexError
 from .grammar import EmptyLanguageError, Grammar, Production, to_cnf
 from .graphs import LabeledGraph
-from .reachability import all_pairs_reach
+from .reachability import reach_pairs
 
 
 class DatalogError(RatIndexError):
@@ -214,9 +214,10 @@ def chain_to_cfg(program: ChainProgram) -> Grammar:
 def evaluate(program: ChainProgram, graph: LabeledGraph) -> frozenset[tuple[str, str]]:
     """Query-predicate facts over the graph database.
 
-    Equivalent to the bottom-up fixpoint of the program; computed by running
-    all-pairs reachability for the program's grammar.  A program whose
-    grammar derives nothing yields no facts.
+    Equivalent to the bottom-up fixpoint of the program; computed as the
+    start pairs of all-pairs reachability for the program's grammar
+    (``reach_pairs``).  A program whose grammar derives nothing yields no
+    facts.
     """
     missing = program.edb - graph.alphabet
     if missing:
@@ -228,4 +229,4 @@ def evaluate(program: ChainProgram, graph: LabeledGraph) -> frozenset[tuple[str,
         cnf = to_cnf(grammar)
     except EmptyLanguageError:
         return frozenset()
-    return all_pairs_reach(cnf, graph).start_pairs()
+    return reach_pairs(cnf, graph)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import RatIndexError
-from .intersection import ProductClosure, derivation_tree
+from .intersection import ProductClosure, derivation_tree, realized_rows
 from .trees import EPSILON, ParseTree
 
 
@@ -527,15 +527,15 @@ def _check_word(g: Grammar, word: Sequence[str]) -> tuple[str, ...]:
 def cyk_membership(g: CNFGrammar, word: Sequence[str]) -> bool:
     """Decide whether the CNF grammar derives the word.
 
-    Runs the product closure over the word's chain automaton, whose states
-    are the positions 0..|w|, so the cost follows the realized
-    (nonterminal, i, j) facts rather than |w|^3.
+    Finds the realized (nonterminal, i, j) facts over the word's chain
+    automaton, whose states are the positions 0..|w|, with ``realized_rows``,
+    so the cost follows the facts rather than |w|^3.
     """
     w = _check_word(g, word)
     if not w:
         return g.epsilon_at_start
-    product = ProductClosure(g, [(p, a, p + 1) for p, a in enumerate(w)])
-    return (g.start, 0, len(w)) in product.lengths
+    rows = realized_rows(g, [(p, a, p + 1) for p, a in enumerate(w)])
+    return len(w) in rows[g.start].get(0, ())
 
 
 def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:

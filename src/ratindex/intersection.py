@@ -1,10 +1,13 @@
 """Bar-Hillel products of a CNF grammar with an automaton, and shortest words.
 
 The product grammar has nonterminals (A, i, j) meaning "A derives the label
-word of some path from i to j".  One closure engine, ``ProductClosure``,
-settles the exact shortest yield length of every realizable triple and
-resolves canonical witnesses on demand.  Shortest words, CFL-reachability,
-chain Datalog and CYK are all views on it.
+word of some path from i to j".  Two engines find its realizable triples.
+``ProductClosure`` settles the exact shortest yield length of every
+realizable triple and resolves canonical witnesses on demand: shortest
+words, rational-index sweeps, ``all_pairs_reach`` with its witnesses and
+``cyk_parse`` read it.  ``realized_rows`` finds the same triples without
+lengths: chain Datalog, ``cyk_membership`` and ``reach_pairs`` read it, as
+they ask only which triples are realizable.
 """
 
 from __future__ import annotations
@@ -470,6 +473,82 @@ class ProductClosure:
                 for n, (pid, left, right) in enumerate(splits)
             )
             self.steps[triple] = splits[n]
+
+
+def realized_rows(
+    g: CNFGrammar, transitions: Iterable[tuple[Hashable, str, Hashable]]
+) -> dict[str, dict[Hashable, set]]:
+    """The realizable triples of the product, without lengths: ``rows[A][i]``
+    is the set of nodes j for which (A, i, j) is realizable, and a node
+    with no such j has no row.  The triples are the keys of
+    ``ProductClosure(g, transitions).lengths``, for callers that read no
+    length and no witness.
+
+    A semi-naive worklist over successor rows ``rows[A][i]`` and
+    predecessor columns ``cols[A][j]``: a triple enters both when it is
+    found and joins, once, when it leaves the worklist, so of two parts the
+    later one to leave finds the other.  A left child (B, i, k) of
+    P -> B C joins with the row ``rows[C][k]`` and keeps only the partners
+    not yet in the parent's row ``rows[P][i]``, one set difference per rule
+    (a right child joins through the columns the same way).  So a candidate
+    that is already realized costs no Python step, where the closure must
+    probe it to compare lengths.
+    """
+    rows: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
+    cols: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
+    terminal_heads: dict[str, list[str]] = {}
+    # Per nonterminal, the binary rules it is a child of, as (parent, the
+    # parent's sets that the join extends, the parent's sets on the other
+    # side, the partner's sets by shared node, whether the partner is the
+    # right child): for P -> B C, a left child (B, i, k) reads ``rows[C][k]``
+    # and extends ``rows[P][i]``, and a right child (C, k, j) reads
+    # ``cols[B][k]`` and extends ``cols[P][j]``.
+    joins: dict[str, list[tuple[str, dict, dict, dict, bool]]] = {
+        a: [] for a in g.nonterminals
+    }
+    for prod in g.productions:
+        if len(prod.rhs) == 1:
+            terminal_heads.setdefault(prod.rhs[0], []).append(prod.lhs)
+        elif len(prod.rhs) == 2:
+            p, (b, c) = prod.lhs, prod.rhs
+            joins[b].append((p, rows[p], cols[p], rows[c], True))
+            joins[c].append((p, cols[p], rows[p], cols[b], False))
+
+    work: list[Triple] = []
+    for src, label, dst in transitions:
+        for head in terminal_heads.get(label, ()):
+            row = rows[head].setdefault(src, set())
+            if dst not in row:
+                row.add(dst)
+                cols[head].setdefault(dst, set()).add(src)
+                work.append((head, src, dst))
+
+    while work:
+        head, i, j = work.pop()
+        for parent, out, into, partner_sets, on_right in joins[head]:
+            own, shared = (i, j) if on_right else (j, i)
+            partners = partner_sets.get(shared)
+            if not partners:
+                continue
+            known = out.get(own)
+            if known is None:
+                out[own] = new = set(partners)
+            else:
+                new = partners - known
+                if not new:
+                    continue
+                known |= new
+            for k in new:
+                mirror = into.get(k)
+                if mirror is None:
+                    into[k] = {own}
+                else:
+                    mirror.add(own)
+            if on_right:
+                work += [(parent, own, k) for k in new]
+            else:
+                work += [(parent, k, own) for k in new]
+    return rows
 
 
 class ShortestTable(Mapping[Triple, ShortestEntry]):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from .errors import RatIndexError
 from .grammar import CNFGrammar
 from .graphs import LabeledGraph
-from .intersection import ProductClosure
+from .intersection import ProductClosure, realized_rows
 
 Fact = tuple[str, str, str]  # (nonterminal, source, target)
 
@@ -29,11 +29,11 @@ class ReachabilityRelation:
         """The pairs (i, j) of the start-symbol facts, read from the
         closure's start rows, with the empty paths (i, i) when the grammar
         derives the empty word."""
-        nodes = self.graph.nodes
-        pairs = frozenset((i, j) for _d, i, j in self._product.start_rows(nodes, nodes))
+        rows = self._product.by_source[self.grammar.start]
+        pairs = {(i, j) for i, row in rows.items() for j, _d in row}
         if self.grammar.epsilon_at_start:
-            pairs = pairs.union((i, i) for i in nodes)
-        return pairs
+            pairs.update((i, i) for i in self.graph.nodes)
+        return frozenset(pairs)
 
 
 def all_pairs_reach(g: CNFGrammar, d: LabeledGraph) -> ReachabilityRelation:
@@ -47,6 +47,17 @@ def all_pairs_reach(g: CNFGrammar, d: LabeledGraph) -> ReachabilityRelation:
     if g.epsilon_at_start:
         facts = facts.union((g.start, node, node) for node in d.nodes)
     return ReachabilityRelation(g, d, facts, product)
+
+
+def reach_pairs(g: CNFGrammar, d: LabeledGraph) -> frozenset[tuple[str, str]]:
+    """The pairs (i, j) of ``all_pairs_reach(g, d).start_pairs()``, found
+    by ``realized_rows`` without settling lengths: for callers that read no
+    witness."""
+    rows = realized_rows(g, d.edges)[g.start]
+    pairs = {(i, j) for i, row in rows.items() for j in row}
+    if g.epsilon_at_start:
+        pairs.update((i, i) for i in d.nodes)
+    return frozenset(pairs)
 
 
 def witness_path(rel: ReachabilityRelation, source: str, target: str) -> tuple[str, ...]:

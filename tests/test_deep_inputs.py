@@ -6,7 +6,8 @@ tree equality, hashing and printing must not recurse with the data.  Each
 grammar size here used to take seconds in to_cnf: normalisation must not
 rescan the productions per nonterminal or per fresh name, nor enumerate
 every subset of a body's nullable occurrences.  Long witnesses must not
-cost a word of memory per symbol per triple.
+cost a word of memory per symbol per triple.  Facts-only queries (Datalog
+and CYK membership) on such inputs must not settle lengths nobody reads.
 """
 
 import time
@@ -15,6 +16,7 @@ import tracemalloc
 import pytest
 
 from ratindex.cli import main
+from ratindex.datalog import chain_to_cfg, evaluate, parse_chain_program
 from ratindex.grammar import (
     cyk_membership,
     cyk_parse,
@@ -35,6 +37,23 @@ def anbn_chain(k):
     """A path c0 -> ... -> c(2k) spelling a^k b^k."""
     edges = [("c%d" % i, "a" if i < k else "b", "c%d" % (i + 1)) for i in range(2 * k)]
     return LabeledGraph.from_edges(edges)
+
+
+def updown_chain(k):
+    """An up chain u0 -> ... -> uk, a down chain dk -> ... -> d0, flat from
+    uk to dk and five flat shortcuts u_i -> d_j: 2k + 2 nodes."""
+    edges = [("u%d" % i, "up", "u%d" % (i + 1)) for i in range(k)]
+    edges += [("d%d" % (i + 1), "down", "d%d" % i) for i in range(k)]
+    edges.append(("u%d" % k, "flat", "d%d" % k))
+    edges += [("u%d" % (37 * i % k), "flat", "d%d" % (53 * i % k)) for i in range(1, 6)]
+    return LabeledGraph.from_edges(edges)
+
+
+SAME_GENERATION = """\
+SG(x, y) :- Flat(x, y).
+SG(x, y) :- Up(x, z1), SG(z1, z2), Down(z2, y).
+?- SG
+"""
 
 
 def unary_tree(depth):
@@ -109,6 +128,15 @@ def test_reach_witness_across_long_chain(anbn_cnf):
     assert word == ("a",) * 600 + ("b",) * 600
 
 
+def test_same_generation_on_long_updown_chain():
+    program = parse_chain_program(SAME_GENERATION)
+    graph = updown_chain(3000)
+    assert len(graph.nodes) == 6002
+    answers = evaluate(program, graph)
+    assert {("u%d" % i, "d%d" % i) for i in range(3001)} <= answers
+    assert answers == all_pairs_reach(to_cnf(chain_to_cfg(program)), graph).start_pairs()
+
+
 def test_extract_witness_across_long_chain(anbn_cnf):
     chain = anbn_chain(600)
     nfa = NFA(chain.nodes, chain.alphabet, chain.edges, {"c0"}, {"c1200"})
@@ -132,6 +160,13 @@ def test_cyk_on_long_anbn(anbn_cnf):
     assert dimension(tree) == 1
     assert cyk_membership(anbn_cnf, word)
     assert not cyk_membership(anbn_cnf, "a" * 1000 + "b" * 999 + "a")
+
+
+def test_cyk_membership_on_long_dyck_words():
+    dyck = to_cnf(parse_grammar("S -> S S | a S b | a b\n"))
+    assert cyk_membership(dyck, "ab" * 150)
+    assert cyk_membership(dyck, "a" * 600 + "b" * 600)
+    assert not cyk_membership(dyck, "ab" * 149 + "ba")
 
 
 def long_alternatives(k):
