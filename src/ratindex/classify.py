@@ -9,6 +9,7 @@ from typing import Sequence
 
 from .errors import RatIndexError
 from .grammar import Grammar, Production, generating_nonterminals, trim_useless
+from .sampling import random_parse_tree
 from .trees import dimension
 
 
@@ -242,8 +243,6 @@ def classify_grammar(
     """Run every classifier and sample parse trees for an observed-dimension
     figure.  The decomposition verdicts are present only when a partition is
     supplied; decompositions are verified, never synthesized."""
-    from .sampling import random_parse_tree  # local import to avoid a cycle
-
     reduced = trim_useless(g)
     ultra = red = None
     levels = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .errors import RatIndexError
@@ -72,17 +73,25 @@ class WellNestedWord:
         return "".join(_PUSH_CHAR if m == PUSH else _POP_CHAR for m in self.moves)
 
 
+def _matches(word: WellNestedWord) -> Iterator[tuple[int, int]]:
+    """Yield every matching pair (open, close), 1-based, in the order the
+    pairs close.  Raises UnbalancedWordError on unbalanced input."""
+    opens: list[int] = []
+    for pos, move in enumerate(word.moves, start=1):
+        if move == PUSH:
+            opens.append(pos)
+        elif opens:
+            yield opens.pop(), pos
+        else:
+            raise UnbalancedWordError("pop at position %d has no matching push" % pos)
+    if opens:
+        raise UnbalancedWordError("push at position %d has no matching pop" % opens[-1])
+
+
 def matching_pairs(word: WellNestedWord) -> tuple[tuple[int, int], ...]:
     """Match every push to its pop; positions are 1-based, pairs sorted by
     opening position.  Raises UnbalancedWordError on unbalanced input."""
-    pairs: list[tuple[int, int]] = []
-    stack = matching_forest(word)
-    while stack:
-        node = stack.pop()
-        pairs.append((node.open, node.close))
-        stack += node.children
-    pairs.sort()
-    return tuple(pairs)
+    return tuple(sorted(_matches(word)))
 
 
 def harmonic(order: int, cap: int = DEFAULT_HARMONIC_CAP) -> WellNestedWord:
@@ -119,78 +128,33 @@ def alpha_of_tree(tree: ParseTree) -> WellNestedWord:
     return WellNestedWord("".join(out))
 
 
-class _PairNode:
-    __slots__ = ("open", "close", "children")
-
-    def __init__(self, open_pos: int, close_pos: int):
-        self.open = open_pos
-        self.close = close_pos
-        self.children: list[_PairNode] = []
-
-
-def matching_forest(word: WellNestedWord) -> list[_PairNode]:
-    """The nesting forest of the matching pairs, children in word order."""
-    roots: list[_PairNode] = []
-    stack: list[_PairNode] = []
-    for pos, move in enumerate(word.moves, start=1):
-        if move == PUSH:
-            node = _PairNode(pos, -1)
-            if stack:
-                stack[-1].children.append(node)
-            else:
-                roots.append(node)
-            stack.append(node)
-        else:
-            if not stack:
-                raise UnbalancedWordError("pop at position %d has no matching push" % pos)
-            stack.pop().close = pos
-    if stack:
-        raise UnbalancedWordError("push at position %d has no matching pop" % stack[-1].open)
-    return roots
-
-
 def oscillation(word: WellNestedWord) -> int:
     """Largest k such that deleting matching pairs leaves exactly harmonic(k).
 
-    Computed by a bottom-up pass over the matching forest.  For a forest F,
+    Computed in one pass over the pairs in closing order.  For a forest F,
     let c(v) be the answer for the pairs strictly inside v; then the answer
     for F is one more than the best min(c(u), c(v)) over incomparable nodes
     u, v of F (zero when no two nodes are incomparable): an embedded
     harmonic of order k+1 is two incomparable pairs each hiding an order-k
     harmonic.
     """
-    roots = matching_forest(word)
-
-    # Per node we keep c (answer inside), best (max c in the node's subtree)
-    # and m (best min over incomparable pairs within the subtree's inside).
-    info: dict[int, tuple[int, int, int]] = {}
-
-    def combine(children: list[_PairNode]) -> int:
-        m = -1
-        best_vals = []
-        for child in children:
-            c_child, best_child, m_child = info[id(child)]
-            best_vals.append(best_child)
+    # One entry (open, best c in the subtree, m) per closed pair whose
+    # enclosing pair is still open, where m is the best min over incomparable
+    # pairs strictly inside it (-1 if none), so c = m + 1.  A closing pair
+    # pops its children; the virtual pair at position 0 closes the roots.
+    stack: list[tuple[int, int, int]] = []
+    for open_pos, _ in chain(_matches(word), [(0, 0)]):
+        m = top = second = -1
+        while stack and stack[-1][0] > open_pos:
+            _, best, m_child = stack.pop()
             m = max(m, m_child)
-        if len(best_vals) >= 2:
-            best_vals.sort(reverse=True)
-            m = max(m, best_vals[1])
-        return m
-
-    stack: list[tuple[_PairNode, bool]] = [(r, False) for r in reversed(roots)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            m_inside = combine(node.children)
-            c = m_inside + 1 if m_inside >= 0 else 0
-            best = max([c] + [info[id(ch)][1] for ch in node.children])
-            info[id(node)] = (c, best, m_inside)
-        else:
-            stack.append((node, True))
-            stack.extend((ch, False) for ch in reversed(node.children))
-
-    m_top = combine(roots)
-    return m_top + 1 if m_top >= 0 else 0
+            if best > top:
+                top, second = best, top
+            elif best > second:
+                second = best
+        m = max(m, second)
+        stack.append((open_pos, max(m + 1, top), m))
+    return m + 1
 
 
 def oscillation_bruteforce(word: WellNestedWord, cap: int = DEFAULT_BRUTE_CAP) -> int:
@@ -234,18 +198,19 @@ def _harmonic_order_of_length(length: int) -> int:
 
 
 def all_wellnested_words(num_moves: int) -> Iterator[WellNestedWord]:
-    """All balanced words with exactly the given number of moves."""
+    """All balanced words with exactly the given number of moves, in
+    lexicographic order with a push before a pop."""
     if num_moves % 2:
         return
-
-    def rec(prefix: str, open_count: int, remaining: int) -> Iterator[str]:
+    # Depth-first over prefixes: the push child sits on top of the pop child.
+    stack = [("", 0)]
+    while stack:
+        prefix, open_count = stack.pop()
+        remaining = num_moves - len(prefix)
         if remaining == 0:
-            yield prefix
-            return
-        if open_count + 2 <= remaining:
-            yield from rec(prefix + PUSH, open_count + 1, remaining - 1)
+            yield WellNestedWord(prefix)
+            continue
         if open_count > 0:
-            yield from rec(prefix + POP, open_count - 1, remaining - 1)
-
-    for moves in rec("", 0, num_moves):
-        yield WellNestedWord(moves)
+            stack.append((prefix + POP, open_count - 1))
+        if open_count + 2 <= remaining:
+            stack.append((prefix + PUSH, open_count + 1))

@@ -20,6 +20,7 @@ from ratindex.intersection import (
     shortest_words,
 )
 from ratindex.measure import BudgetExceededError, Exhaustive, RhoEstimate, _automata_for
+from ratindex.wellnested import PUSH, UnbalancedWordError, WellNestedWord
 
 
 def derives(g: Grammar, word) -> bool:
@@ -625,3 +626,81 @@ def expansive_bruteforce(
         if not frontier:
             break
     return False
+
+
+# The nesting-forest oscillation: build the forest of matching pairs, then
+# fold it bottom-up in post-order with a table keyed by node identity.
+
+
+class _PairNode:
+    __slots__ = ("open", "close", "children")
+
+    def __init__(self, open_pos: int, close_pos: int):
+        self.open = open_pos
+        self.close = close_pos
+        self.children: list[_PairNode] = []
+
+
+def matching_forest(word: WellNestedWord) -> list[_PairNode]:
+    """The nesting forest of the matching pairs, children in word order."""
+    roots: list[_PairNode] = []
+    stack: list[_PairNode] = []
+    for pos, move in enumerate(word.moves, start=1):
+        if move == PUSH:
+            node = _PairNode(pos, -1)
+            if stack:
+                stack[-1].children.append(node)
+            else:
+                roots.append(node)
+            stack.append(node)
+        else:
+            if not stack:
+                raise UnbalancedWordError("pop at position %d has no matching push" % pos)
+            stack.pop().close = pos
+    if stack:
+        raise UnbalancedWordError("push at position %d has no matching pop" % stack[-1].open)
+    return roots
+
+
+def oscillation_by_forest(word: WellNestedWord) -> int:
+    """Largest k such that deleting matching pairs leaves exactly harmonic(k).
+
+    Computed by a bottom-up pass over the matching forest.  For a forest F,
+    let c(v) be the answer for the pairs strictly inside v; then the answer
+    for F is one more than the best min(c(u), c(v)) over incomparable nodes
+    u, v of F (zero when no two nodes are incomparable): an embedded
+    harmonic of order k+1 is two incomparable pairs each hiding an order-k
+    harmonic.
+    """
+    roots = matching_forest(word)
+
+    # Per node we keep c (answer inside), best (max c in the node's subtree)
+    # and m (best min over incomparable pairs within the subtree's inside).
+    info: dict[int, tuple[int, int, int]] = {}
+
+    def combine(children: list[_PairNode]) -> int:
+        m = -1
+        best_vals = []
+        for child in children:
+            c_child, best_child, m_child = info[id(child)]
+            best_vals.append(best_child)
+            m = max(m, m_child)
+        if len(best_vals) >= 2:
+            best_vals.sort(reverse=True)
+            m = max(m, best_vals[1])
+        return m
+
+    stack: list[tuple[_PairNode, bool]] = [(r, False) for r in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            m_inside = combine(node.children)
+            c = m_inside + 1 if m_inside >= 0 else 0
+            best = max([c] + [info[id(ch)][1] for ch in node.children])
+            info[id(node)] = (c, best, m_inside)
+        else:
+            stack.append((node, True))
+            stack.extend((ch, False) for ch in reversed(node.children))
+
+    m_top = combine(roots)
+    return m_top + 1 if m_top >= 0 else 0

@@ -8,6 +8,8 @@ rescan the productions per nonterminal or per fresh name, nor enumerate
 every subset of a body's nullable occurrences.  Long witnesses must not
 cost a word of memory per symbol per triple.  Facts-only queries (Datalog
 and CYK membership) on such inputs must not settle lengths nobody reads.
+Well-nested words of hundreds of thousands of moves are matched and
+measured in one pass with an explicit stack.
 """
 
 import time
@@ -29,6 +31,7 @@ from ratindex.intersection import bar_hillel, extract_witness, shortest_words
 from ratindex.measure import TwoCycle, measure_rho
 from ratindex.reachability import all_pairs_reach, witness
 from ratindex.trees import ParseTree, dimension
+from ratindex.wellnested import WellNestedWord, harmonic, matching_pairs, oscillation
 
 from conftest import ANBN_TEXT
 
@@ -167,6 +170,18 @@ def test_cyk_membership_on_long_dyck_words():
     assert cyk_membership(dyck, "ab" * 150)
     assert cyk_membership(dyck, "a" * 600 + "b" * 600)
     assert not cyk_membership(dyck, "ab" * 149 + "ba")
+
+
+def test_oscillation_of_harmonic_16():
+    word = harmonic(16)
+    assert len(word) == 262140
+    assert oscillation(word) == 16
+
+
+def test_long_spine_pairs_and_oscillation():
+    word = WellNestedWord("(" * 100000 + ")" * 100000)
+    assert oscillation(word) == 0
+    assert matching_pairs(word)[0] == (1, 200000)
 
 
 def long_alternatives(k):

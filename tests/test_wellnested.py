@@ -1,4 +1,7 @@
 import math
+import random
+from itertools import islice, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from ratindex.sampling import random_cnf_grammar, random_parse_tree
 from ratindex.trees import ParseTree, dimension
 from ratindex.wellnested import (
+    POP,
+    PUSH,
     CapExceededError,
     UnbalancedWordError,
     WellNestedWord,
@@ -16,6 +21,8 @@ from ratindex.wellnested import (
     oscillation,
     oscillation_bruteforce,
 )
+
+from oracles import oscillation_by_forest
 
 W = WellNestedWord.from_text
 
@@ -250,3 +257,62 @@ def test_word_text_roundtrip():
     word = W("āāaa")
     assert WellNestedWord.from_text(str(word)) == word
     assert WellNestedWord.from_text("(())") == word
+
+
+def test_wellnested_enumeration_order():
+    for n in range(0, 17, 2):
+        balanced = [
+            "".join(moves)
+            for moves in product("()", repeat=n)
+            if WellNestedWord("".join(moves)).is_balanced()
+        ]
+        assert [w.moves for w in all_wellnested_words(n)] == sorted(balanced)
+
+
+def test_wellnested_enumeration_at_4000_moves():
+    # The enumeration used to recurse once per move.
+    first = list(islice(all_wellnested_words(4000), 3))
+    assert first[0].moves == "(" * 2000 + ")" * 2000
+    assert first[1].moves == "(" * 1999 + ")(" + ")" * 1999
+    assert first[2].moves == "(" * 1999 + "))(" + ")" * 1998
+
+
+@pytest.mark.parametrize("text, message", [
+    ("āaa", "pop at position 3 has no matching push"),
+    ("āāa", "push at position 1 has no matching pop"),
+    ("a", "pop at position 1 has no matching push"),
+    ("ā", "push at position 1 has no matching pop"),
+])
+def test_unbalanced_error_messages(text, message):
+    for function in (matching_pairs, oscillation):
+        with pytest.raises(UnbalancedWordError) as error:
+            function(W(text))
+        assert str(error.value) == message
+
+
+def _random_balanced(rng, pairs):
+    """A uniform random balanced word with the given number of pairs: shuffle
+    the pushes with one pop too many, then rotate the lowest point to the end
+    and drop that pop (the cycle lemma)."""
+    seq = [PUSH] * pairs + [POP] * (pairs + 1)
+    rng.shuffle(seq)
+    depth = low = cut = 0
+    for i, move in enumerate(seq):
+        depth += 1 if move == PUSH else -1
+        if depth < low:
+            low, cut = depth, i + 1
+    return WellNestedWord("".join(seq[cut:] + seq[: cut - 1]))
+
+
+def test_oscillation_matches_forest_oracle_on_long_words():
+    # 2 to 2,000 moves, log-uniform in the number of pairs: far beyond the
+    # brute force, and every oscillation from 0 to 5 occurs.
+    rng = random.Random(15)
+    high = 0
+    for _ in range(2000):
+        word = _random_balanced(rng, round(1000 ** rng.random()))
+        assert word.is_balanced()
+        expected = oscillation_by_forest(word)
+        assert oscillation(word) == expected
+        high += expected >= 3
+    assert high >= 600
