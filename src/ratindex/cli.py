@@ -149,6 +149,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_measure_rho(args) -> int:
+    if args.count < 0 or (args.n_max and args.n_max < args.n_min):
+        print("--count must be nonnegative, and --n-max 0 or at least --n-min", file=sys.stderr)
+        return 2
     g = to_cnf(_load_grammar(args.grammar))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "value", "exhaustive", "witness_word", "automaton_id"])

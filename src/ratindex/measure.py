@@ -16,12 +16,12 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import RatIndexError
 from .grammar import CNFGrammar
-from .graphs import NFA
-from .intersection import ProductClosure, TripleGrammar, decode, word_codec
+from .graphs import Edge, NFA
+from .intersection import ProductClosure, decode, word_codec
 from .sampling import random_nfa
 
 log = logging.getLogger(__name__)
@@ -109,27 +109,23 @@ def two_cycle_family(p: int, q: int) -> NFA:
     )
 
 
-def enumerate_nfas(
-    max_states: int, alphabet: Sequence[str], budget: int | None = None
-) -> Iterator[tuple[str, NFA]]:
-    """All NFAs with 1..max_states states over the alphabet, one per
-    isomorphism class (state permutations), with stable string ids.
+class _Candidate(NamedTuple):
+    """An enumerated automaton's ``NFA`` fields, not validated."""
+    states: frozenset[str]
+    alphabet: frozenset[str]
+    transitions: frozenset[Edge]
+    initial: frozenset[str]
+    accepting: frozenset[str]
 
-    An automaton is kept when no state permutation gives it a smaller
-    encoding (sorted transitions, then sorted initial and accepting
-    states).  The transitions decide first, so each transition set is
-    tested once: it is skipped whole when a permutation sorts it lower, and
-    otherwise its initial/accepting pairs are compared only under the
-    permutations that map it to itself.
 
-    Only automata with nonempty initial and accepting sets are produced;
-    the rest have empty languages.  Raises BudgetExceededError via the
-    caller's accounting, not here.
-    """
+def _candidates(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple[str, _Candidate]]:
+    """The automata of ``enumerate_nfas``, in order and with ids, as unvalidated
+    fields that share their transition set's and their size's frozensets."""
     letters = tuple(sorted(alphabet))
-    produced = 0
+    letter_set = frozenset(letters)
     for m in range(1, max_states + 1):
         states = tuple("q%d" % i for i in range(m))
+        state_set = frozenset(states)
         # Cells are listed in sorted order, so a transition set sorts as the
         # list of its cell indices.
         cells = [(s, ai, t) for s in range(m) for ai in range(len(letters)) for t in range(m)]
@@ -137,6 +133,8 @@ def enumerate_nfas(
         state_sets = [
             c for size in range(1, m + 1) for c in itertools.combinations(range(m), size)
         ]
+        named = [frozenset(states[s] for s in c) for c in state_sets]
+        ids = ["".join(map(str, c)) for c in state_sets]
         # Every permutation but the identity, which comes first: its image
         # of each cell index and of each state set.
         images = [
@@ -160,30 +158,40 @@ def enumerate_nfas(
                     (states[s], letters[ai], states[t])
                     for s, ai, t in (cells[b] for b in present)
                 )
+                prefix = "enum_m%d_t%x_i" % (m, bits)
                 for (x, initial), (y, accepting) in itertools.product(
                     enumerate(state_sets), repeat=2
                 ):
-                    if any(
+                    if automorphisms and any(
                         (image[x], image[y]) < (initial, accepting) for image in automorphisms
                     ):
                         continue
-                    nfa = NFA(
-                        frozenset(states),
-                        frozenset(letters),
-                        transitions,
-                        frozenset(states[s] for s in initial),
-                        frozenset(states[s] for s in accepting),
+                    yield "%s%s_f%s" % (prefix, ids[x], ids[y]), _Candidate(
+                        state_set, letter_set, transitions, named[x], named[y]
                     )
-                    ident = "enum_m%d_t%x_i%s_f%s" % (
-                        m,
-                        bits,
-                        "".join(map(str, initial)),
-                        "".join(map(str, accepting)),
-                    )
-                    produced += 1
-                    yield ident, nfa
-                    if budget is not None and produced >= budget:
-                        return
+
+
+def enumerate_nfas(
+    max_states: int, alphabet: Sequence[str], budget: int | None = None
+) -> Iterator[tuple[str, NFA]]:
+    """All NFAs with 1..max_states states over the alphabet, one per
+    isomorphism class (state permutations), with stable string ids.
+
+    An automaton is kept when no state permutation gives it a smaller
+    encoding (sorted transitions, then sorted initial and accepting
+    states).  The transitions decide first, so each transition set is
+    tested once: it is skipped whole when a permutation sorts it lower, and
+    otherwise its initial/accepting pairs are compared only under the
+    permutations that map it to itself.
+
+    Only automata with nonempty initial and accepting sets are produced;
+    the rest have empty languages.  With a budget, it stops silently after
+    that many automata (at least one); ``measure_rho`` keeps its own count.
+    """
+    for produced, (ident, candidate) in enumerate(_candidates(max_states, alphabet), 1):
+        yield ident, NFA(*candidate)
+        if budget is not None and produced >= budget:
+            return
 
 
 def _automata_for(
@@ -207,7 +215,8 @@ def _automata_for(
 
 
 def _evaluate_automaton(
-    grammar: CNFGrammar, nfa: NFA, floor: int = 0, closure: ProductClosure | None = None
+    grammar: CNFGrammar, nfa: NFA | _Candidate, floor: int = 0,
+    closure: ProductClosure | None = None
 ) -> tuple[int, str] | None:
     """Length and word code of ``shortest_start`` for one automaton, or
     None when the intersection is empty or its shortest word is shorter
@@ -217,7 +226,7 @@ def _evaluate_automaton(
     ``ProductClosure`` of ``nfa.transitions``, possibly shared with other
     automata over the same transitions; it is built here when not given,
     and neither built nor read when the empty word answers."""
-    if TripleGrammar(grammar, nfa).empty_word_states():
+    if grammar.epsilon_at_start and nfa.initial & nfa.accepting:
         return (0, "") if floor <= 0 else None
     if closure is None:
         closure = ProductClosure(grammar, nfa.transitions)
@@ -237,16 +246,19 @@ def measure_rho(
     order-insensitive (max on value, ties to the smallest witness word then
     id); it compares word codes and decodes only the winner's word.  Each
     automaton is evaluated with the best length so far as its floor, so one
-    whose shortest word is shorter resolves no witness.
+    whose shortest word is shorter resolves no witness, and none is
+    evaluated while every start triple of its closure is shorter.
 
-    A product closure depends on the transitions only, not on the initial
-    and accepting states, so consecutive automata with equal transitions
-    (``enumerate_nfas`` yields all those of a transition set back to back)
-    share one, with the witnesses it has resolved.  Only the last closure
-    is kept, and it is built when the first automaton of its transitions
-    that the empty word does not answer reaches it.  The sweep always runs
-    in the calling process, one automaton after another; ``workers`` is
-    accepted for compatibility and has no effect.
+    An exhaustive sweep reads the automata of ``enumerate_nfas`` as
+    unvalidated fields and builds the winner's ``NFA`` only; a negative
+    budget is a ValueError.  A product closure depends on the transitions
+    only, so consecutive automata with equal transitions (the enumeration
+    yields all those of a transition set back to back) share one, with the
+    witnesses it has resolved.  Only the last closure is kept, and it is
+    built when the first automaton of its transitions that the empty word
+    does not answer reaches it.  The sweep always runs in the calling
+    process, one automaton after another; ``workers`` is accepted for
+    compatibility and has no effect.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -263,19 +275,24 @@ def measure_rho(
             )
 
     budget = strategy.budget if exhaustive else None
-    automata = _automata_for(strategy, n, alphabet)
+    if budget is not None and budget < 0:
+        raise ValueError("enumeration budget must be nonnegative, got %d" % budget)
+    automata = _candidates(n, alphabet) if exhaustive else _automata_for(strategy, n, alphabet)
     tested_automata = automata if budget is None else itertools.islice(automata, budget)
 
-    best: tuple[int, str, str, NFA] | None = None
+    best: tuple[int, str, str, NFA | _Candidate] | None = None
     tested = 0
     closure: ProductClosure | None = None
     closure_of = None  # the transitions of ``closure``
     for ident, nfa in tested_automata:
         tested += 1
         shared = nfa.transitions == closure_of
-        if not shared and not TripleGrammar(g, nfa).empty_word_states():
+        if not shared and not (g.epsilon_at_start and nfa.initial & nfa.accepting):
             closure, closure_of = ProductClosure(g, nfa.transitions), nfa.transitions
+            longest = max((d for r in closure.by_source[g.start].values() for _, d in r), default=0)
             shared = True
+        if shared and best and longest < best[0]:
+            continue
         result = _evaluate_automaton(g, nfa, best[0] if best else 0, closure if shared else None)
         if result is None:
             continue
@@ -291,7 +308,7 @@ def measure_rho(
     estimate = RhoEstimate(
         n=n,
         value=best[0] if best else None,
-        witness_automaton=best[3] if best else None,
+        witness_automaton=best and (NFA(*best[3]) if exhaustive else best[3]),
         witness_word=decode(word_codec(g.terminals)[1], best[1]) if best else None,
         witness_id=best[2] if best else None,
         tested_count=tested,

@@ -199,6 +199,22 @@ def test_measure_rho_two_cycle_csv(capsys, anbn_file):
     assert lines[2] == "7,24,false,aaaaaaaaaaaabbbbbbbbbbbb,two_cycle_3_4"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--strategy", "exhaustive", "--n-min", "2", "--n-max", "1"],
+        ["--strategy", "random", "--n-max", "-1"],
+        ["--strategy", "random", "--count", "-3"],
+    ],
+)
+def test_measure_rho_usage_errors(capsys, anbn_file, argv):
+    # each used to print a bare header or an empty row and exit 0
+    code, out, err = run_cli(capsys, "measure-rho", "--grammar", anbn_file, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--count must be nonnegative, and --n-max 0 or at least --n-min" in err
+
+
 def test_measure_rho_fit_slope(capsys, anbn_file):
     code, out, err = run_cli(
         capsys,

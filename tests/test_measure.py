@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import multiprocessing.process
@@ -158,6 +159,13 @@ def test_exhaustive_budget_error():
     partial = err.value.partial
     assert not partial.exhaustive
     assert partial.tested_count <= 10
+
+
+def test_negative_budget_is_rejected(anbn_cnf):
+    # islice's own message leaked here before the budget was checked
+    for budget in (-1, -5):
+        with pytest.raises(ValueError, match="^enumeration budget must be nonnegative"):
+            measure_rho(anbn_cnf, 2, Exhaustive(budget=budget))
 
 
 def test_exhaustive_dominates_random():
@@ -333,6 +341,49 @@ def test_sweeps_build_one_closure_per_transition_set(monkeypatch, text, n, closu
     assert measure_rho(g, n, Exhaustive()) == expected
     assert expected.tested_count == 1164
     assert len(built) == closures
+
+
+def test_exhaustive_sweep_builds_only_the_winners_automaton(monkeypatch):
+    built = []
+
+    class CountingNFA(NFA):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    g = to_cnf(parse_grammar("S -> a S b | a b\n"))
+    expected = measure_rho(g, 2, Exhaustive())
+    monkeypatch.setattr(ratindex.measure, "NFA", CountingNFA)
+    estimate = measure_rho(g, 2, Exhaustive())
+    # the winner's NFA only, not one per automaton (1,164)
+    assert len(built) == 1 and built[0] is estimate.witness_automaton
+    assert estimate.tested_count == 1164
+    assert dataclasses.astuple(estimate) == dataclasses.astuple(expected)
+
+
+@pytest.mark.parametrize(
+    "text, evaluated",
+    [
+        # once aabb is found, a transition set whose start triples are all
+        # shorter than 4 letters evaluates none of its automata
+        ("S -> a S b | a b\n", 230),
+        # every start triple spells one letter, the value: nothing is skipped
+        ("S -> S up S | down |\n", 1164),
+    ],
+)
+def test_sweeps_skip_transition_sets_below_the_floor(monkeypatch, text, evaluated):
+    calls = []
+
+    def counting_evaluate(*args):
+        calls.append(args)
+        return _evaluate_automaton(*args)
+
+    g = to_cnf(parse_grammar(text))
+    expected = measure_rho(g, 2, Exhaustive())
+    monkeypatch.setattr(ratindex.measure, "_evaluate_automaton", counting_evaluate)
+    assert measure_rho(g, 2, Exhaustive()) == expected
+    assert expected.tested_count == 1164
+    assert len(calls) == evaluated
 
 
 @pytest.mark.parametrize(
