@@ -148,21 +148,48 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _two_cycle_pairs(text: str) -> list[tuple[int, int]] | None:
+    """The (p, q) pairs of ``--pairs``, or None when one is not p:q with
+    positive integers p and q."""
+    pairs = []
+    for chunk in text.split(","):
+        p, _, q = chunk.partition(":")
+        try:
+            pair = int(p), int(q)
+        except ValueError:
+            return None
+        if min(pair) < 1:
+            return None
+        pairs.append(pair)
+    return pairs
+
+
 def cmd_measure_rho(args) -> int:
+    # Every argument is checked before anything is written.
+    two_cycle = args.strategy == "two-cycle"
+    pairs = _two_cycle_pairs(args.pairs) if two_cycle and args.pairs else None
+    problem = None
     if args.count < 0 or (args.n_max and args.n_max < args.n_min):
-        print("--count must be nonnegative, and --n-max 0 or at least --n-min", file=sys.stderr)
+        problem = "--count must be nonnegative, and --n-max 0 or at least --n-min"
+    elif args.n_min < 1:
+        problem = "--n-min must be at least 1, got %d" % args.n_min
+    elif not 0 <= args.density <= 1:
+        problem = "--density must be between 0 and 1, got %s" % args.density
+    elif two_cycle and not args.pairs:
+        problem = "--pairs is required for the two-cycle strategy"
+    elif two_cycle and pairs is None:
+        problem = "--pairs must be comma-separated p:q with positive integers, got %r" % (
+            args.pairs
+        )
+    if problem is not None:
+        print(problem, file=sys.stderr)
         return 2
     g = to_cnf(_load_grammar(args.grammar))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "value", "exhaustive", "witness_word", "automaton_id"])
     runs: list[tuple[int, object]] = []
-    if args.strategy == "two-cycle":
-        if not args.pairs:
-            print("--pairs is required for the two-cycle strategy", file=sys.stderr)
-            return 2
-        for chunk in args.pairs.split(","):
-            p, _, q = chunk.partition(":")
-            runs.append((int(p) + int(q), TwoCycle(int(p), int(q))))
+    if two_cycle:
+        runs = [(p + q, TwoCycle(p, q)) for p, q in pairs]
     else:
         n_values = range(args.n_min, args.n_max + 1) if args.n_max else [args.n_min]
         for n in n_values:

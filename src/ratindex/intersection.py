@@ -189,9 +189,35 @@ class ProductClosure:
     ``least_start`` read, the binary rules, the production id of each
     length-1 triple and, for the nonterminals whose words all have one
     length (see ``splits``), their triples by target node.
+
+    A rational-index sweep needs one answer per automaton, the least start
+    triple at or above a floor, and the keyword-only ``stop=(initial,
+    accepting, floor)`` lets a closure settle no more than that answer
+    reads.  Since buckets are settled in increasing length, the first start
+    triple (S, i, j) to settle, with i in ``initial`` and j in
+    ``accepting``, has the shortest start length d*.  If d* is below the
+    floor, the closure stops at that triple and ``least_start(initial,
+    accepting, floor)`` is None.  Otherwise it settles the rest of bucket
+    d* without joining (joins are longer than d*) and stops, so every start
+    triple of length d* is settled and ``least_start`` compares their codes
+    as on the full closure.  After such a stop every length in ``lengths``
+    that is not settled exceeds d*, and ``splits`` and ``_resolve_below``
+    on a triple of length at most d* compare only lengths below its own, so
+    they find the same steps, and the same witnesses, as on the full
+    closure.  A stopped closure answers that one ``least_start`` query
+    only: its ``lengths`` still holds tentative lengths, so it is never
+    wrapped in a ``ShortestTable`` or handed out (``measure`` builds it and
+    drops it).  Without ``stop`` a pop pays one identity test, against a
+    row that never matches.
     """
 
-    def __init__(self, g: CNFGrammar, transitions: Iterable[tuple[Hashable, str, Hashable]]):
+    def __init__(
+        self,
+        g: CNFGrammar,
+        transitions: Iterable[tuple[Hashable, str, Hashable]],
+        *,
+        stop: tuple[frozenset, frozenset, int] | None = None,
+    ):
         # Realized triples per nonterminal, by source node and by target
         # node, as (other node, length) in the order they were settled.
         # Keying by nonterminal first stores no (nonterminal, node) tuple per
@@ -239,6 +265,12 @@ class ProductClosure:
         bounds: dict[tuple, dict[Hashable, int]] = {}
         buckets: dict[int, list[Triple]] = {1: list(edges)}
         pending = [1]  # heap of the lengths that have a bucket
+        # The stop condition (see the class docstring).  Without one no row
+        # is ``stop_rows``, so a pop pays one identity test for it.
+        stop_rows = initial = accepting = None
+        if stop is not None:
+            initial, accepting, floor = stop
+            stop_rows = by_source[g.start]
 
         while pending:
             d = heapq.heappop(pending)
@@ -246,8 +278,16 @@ class ProductClosure:
                 if lengths[triple] != d:
                     continue  # settled earlier by a shorter derivation
                 head, i, j = triple
-                by_source[head].setdefault(i, []).append((j, d))
+                rows = by_source[head]
+                rows.setdefault(i, []).append((j, d))
                 by_target[head].setdefault(j, []).append((i, d))
+                if rows is stop_rows and i in initial and j in accepting:
+                    # The first start triple: d is the shortest start length.
+                    pending = []  # pop no further bucket
+                    if d < floor:
+                        break
+                    # Settle the rest of this bucket; its joins are longer.
+                    stop_rows, joins = None, {}
                 for parent, partner_parts, on_right in joins.get(head, ()):
                     partners = partner_parts.get(j if on_right else i)
                     if partners is None:

@@ -224,12 +224,19 @@ def _evaluate_automaton(
     the initial states, and only those of minimum length are resolved, so
     an automaton below the floor resolves none.  ``closure`` is the
     ``ProductClosure`` of ``nfa.transitions``, possibly shared with other
-    automata over the same transitions; it is built here when not given,
-    and neither built nor read when the empty word answers."""
+    automata over the same transitions, and neither built nor read when the
+    empty word answers.  When it is not given, a closure that stops at this
+    automaton's answer is built here and dropped (see ``ProductClosure``):
+    it stops at the first start triple when that is below the floor, and
+    otherwise after the bucket of the shortest start length, whose start
+    triples and the shorter triples they are built from are settled as in
+    the full closure, so the length and code are the same."""
     if grammar.epsilon_at_start and nfa.initial & nfa.accepting:
         return (0, "") if floor <= 0 else None
     if closure is None:
-        closure = ProductClosure(grammar, nfa.transitions)
+        closure = ProductClosure(
+            grammar, nfa.transitions, stop=(nfa.initial, nfa.accepting, floor)
+        )
     best = closure.least_start(nfa.initial, nfa.accepting, floor)
     return None if best is None else best[:2]
 
@@ -252,13 +259,17 @@ def measure_rho(
     An exhaustive sweep reads the automata of ``enumerate_nfas`` as
     unvalidated fields and builds the winner's ``NFA`` only; a negative
     budget is a ValueError.  A product closure depends on the transitions
-    only, so consecutive automata with equal transitions (the enumeration
-    yields all those of a transition set back to back) share one, with the
-    witnesses it has resolved.  Only the last closure is kept, and it is
-    built when the first automaton of its transitions that the empty word
-    does not answer reaches it.  The sweep always runs in the calling
-    process, one automaton after another; ``workers`` is accepted for
-    compatibility and has no effect.
+    only, so in an exhaustive sweep consecutive automata with equal
+    transitions (the enumeration yields all those of a transition set back
+    to back) share one full closure, with the witnesses it has resolved.
+    Only the last closure is kept, and it is built when the first automaton
+    of its transitions that the empty word does not answer reaches it.
+    Random and two-cycle automata share no closure: each builds one that
+    stops at its answer (see ``_evaluate_automaton``), so an automaton
+    below the floor settles no triple longer than its shortest start
+    triple.  The sweep always runs in the calling process, one automaton
+    after another; ``workers`` is accepted for compatibility and has no
+    effect.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -286,8 +297,10 @@ def measure_rho(
     closure_of = None  # the transitions of ``closure``
     for ident, nfa in tested_automata:
         tested += 1
-        shared = nfa.transitions == closure_of
-        if not shared and not (g.epsilon_at_start and nfa.initial & nfa.accepting):
+        shared = nfa.transitions == closure_of  # never, outside exhaustive sweeps
+        if exhaustive and not shared and not (
+            g.epsilon_at_start and nfa.initial & nfa.accepting
+        ):
             closure, closure_of = ProductClosure(g, nfa.transitions), nfa.transitions
             longest = max((d for r in closure.by_source[g.start].values() for _, d in r), default=0)
             shared = True

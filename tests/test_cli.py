@@ -215,6 +215,27 @@ def test_measure_rho_usage_errors(capsys, anbn_file, argv):
     assert "--count must be nonnegative, and --n-max 0 or at least --n-min" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--strategy", "two-cycle"], "--pairs is required for the two-cycle strategy"),
+        (["--strategy", "two-cycle", "--pairs", "2:x"], "--pairs must be comma-separated p:q"),
+        (["--strategy", "two-cycle", "--pairs", "3"], "--pairs must be comma-separated p:q"),
+        (["--strategy", "two-cycle", "--pairs", "3:0"], "--pairs must be comma-separated p:q"),
+        (["--strategy", "two-cycle", "--pairs", "2:3,-1:4"], "--pairs must be comma-separated p:q"),
+        (["--strategy", "random", "--n-min", "0"], "--n-min must be at least 1, got 0"),
+        (["--strategy", "exhaustive", "--n-min", "-2"], "--n-min must be at least 1, got -2"),
+        (["--strategy", "random", "--density", "1.5"], "--density must be between 0 and 1"),
+        (["--strategy", "random", "--density", "-1"], "--density must be between 0 and 1"),
+    ],
+)
+def test_measure_rho_checks_its_arguments_before_writing(capsys, anbn_file, argv, message):
+    # each used to print the CSV header first, and then fail or run
+    code, out, err = run_cli(capsys, "measure-rho", "--grammar", anbn_file, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_measure_rho_fit_slope(capsys, anbn_file):
     code, out, err = run_cli(
         capsys,

@@ -614,3 +614,47 @@ def test_closure_matches_the_tuple_keyed_reference(monkeypatch, rng, row_partner
         # a parent with a terminal rule: its row learns a length-1 triple
         edge_probed += counts["wide_edge_probes"] > 0
     assert wide >= 100 and edge_probed >= 50
+
+
+def settled_lengths(closure):
+    """The settled triples of a closure, read from its rows, with their lengths."""
+    return {
+        (head, i, j): d
+        for head, rows in closure.by_source.items()
+        for i, row in rows.items()
+        for j, d in row
+    }
+
+
+def test_a_stopped_closure_settles_what_its_answer_reads(rng):
+    below = above = empty = tied = 0
+    for _ in range(400):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2)
+        nfa = random_nfa(rng, rng.randint(1, 5), sorted(g.terminals), rng.choice([0.3, 0.5]))
+        floor = rng.randint(0, 5)
+        full = ProductClosure(g, nfa.transitions)
+        stopped = ProductClosure(g, nfa.transitions, stop=(nfa.initial, nfa.accepting, floor))
+        answer = stopped.least_start(nfa.initial, nfa.accepting, floor)
+        assert answer == full.least_start(nfa.initial, nfa.accepting, floor)
+        # both resolved the same steps, so the witness is the same
+        assert stopped.steps == full.steps
+        starts = [d for d, _i, _j in full.start_rows(nfa.initial, nfa.accepting)]
+        if not starts:
+            empty += 1
+            assert list(stopped.lengths.items()) == list(full.lengths.items())
+            continue
+        shortest = min(starts)
+        assert (answer is None) == (shortest < floor)
+        settled = settled_lengths(stopped)
+        assert set(settled.items()) <= set(full.lengths.items())
+        if shortest < floor:
+            # stopped at the first start triple, within its bucket
+            below += 1
+            assert all(d <= shortest for d in settled.values())
+            assert {t: d for t, d in full.lengths.items() if d < shortest}.items() <= settled.items()
+        else:
+            above += 1
+            assert settled == {t: d for t, d in full.lengths.items() if d <= shortest}
+            assert all(d > shortest for t, d in stopped.lengths.items() if t not in settled)
+            tied += starts.count(shortest) > 1
+    assert below >= 100 and above >= 80 and empty >= 100 and tied >= 30

@@ -456,6 +456,38 @@ def test_random_grammar_sweeps_match_the_floor_free_reduction(rng):
     assert epsilon_grammars >= 3 and budgeted == 10
 
 
+ORACLE_GRAMMARS = [
+    "S -> S S | a S b | a b\n",
+    "S -> S S | a S b | c S d | a b | c d\n",
+    "S -> a S b | a b\n",
+    # a^m b^2m: the parts of b b have one word length, so ``splits`` walks
+    # them by target node
+    "S -> a S b b | a b b\n",
+    "S -> a S b S |\n",
+    # odd-length palindromes
+    "S -> a S a | b S b | a | b\n",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_GRAMMARS)
+def test_sweeps_of_stopped_closures_match_the_floor_free_reduction(text):
+    # random and two-cycle automata each build a closure that stops at
+    # their answer; the reference reads every automaton's whole table
+    g = to_cnf(parse_grammar(text))
+    runs = [
+        (2 + seed % 7, RandomSample(count=40, seed=seed, density=density))
+        for seed in range(12)
+        for density in (0.15, 0.3, 0.5)
+    ]
+    runs += [(p + q, TwoCycle(p, q)) for p in range(1, 5) for q in range(1, 5)]
+    nonempty = 0
+    for n, strategy in runs:
+        estimate = measure_rho(g, n, strategy)
+        assert estimate == measure_rho_without_floor(g, n, strategy)
+        nonempty += estimate.value is not None
+    assert len(runs) == 52 and nonempty >= 30
+
+
 def test_pool_matches_serial_beyond_one_batch(anbn_cnf):
     strategy = RandomSample(count=300, seed=4)
     serial = measure_rho(anbn_cnf, 4, strategy, workers=1)
