@@ -6,13 +6,10 @@ import argparse
 import csv
 import logging
 import os
-import random
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import BoundFormula
-from .classify import classify_grammar
 from .datalog import evaluate as datalog_evaluate
 from .datalog import parse_chain_program
 from .errors import RatIndexError
@@ -33,17 +30,11 @@ from .intersection import (
     shortest_start,
     shortest_words,
 )
-from .measure import (
-    BudgetExceededError,
-    Exhaustive,
-    RandomSample,
-    TwoCycle,
-    fit_growth,
-    measure_rho,
-)
 from .reachability import reach_pairs
 from .trees import dimension
-from .wellnested import alpha_of_tree, oscillation, oscillation_bruteforce
+
+# The sweep, classification, bound and oscillation modules are imported by
+# the commands that run them, so that the other commands do not load them.
 
 
 def _read(path: str) -> str:
@@ -111,6 +102,8 @@ def cmd_reach(args) -> int:
 
 
 def cmd_tree_metrics(args) -> int:
+    from .wellnested import alpha_of_tree, oscillation
+
     g = to_cnf(_load_grammar(args.grammar))
     word = parse_word(g, args.word)
     tree = cyk_parse(g, word)
@@ -131,6 +124,8 @@ def _parse_partition(text: str) -> list[set[str]]:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify_grammar
+
     g = _load_grammar(args.grammar)
     partition = _parse_partition(args.partition) if args.partition else None
     report = classify_grammar(
@@ -165,6 +160,15 @@ def _two_cycle_pairs(text: str) -> list[tuple[int, int]] | None:
 
 
 def cmd_measure_rho(args) -> int:
+    from .measure import (
+        BudgetExceededError,
+        Exhaustive,
+        RandomSample,
+        TwoCycle,
+        fit_growth,
+        measure_rho,
+    )
+
     # Every argument is checked before anything is written.
     two_cycle = args.strategy == "two-cycle"
     pairs = _two_cycle_pairs(args.pairs) if two_cycle and args.pairs else None
@@ -175,6 +179,12 @@ def cmd_measure_rho(args) -> int:
         problem = "--n-min must be at least 1, got %d" % args.n_min
     elif not 0 <= args.density <= 1:
         problem = "--density must be between 0 and 1, got %s" % args.density
+    elif args.budget < 0:
+        problem = "--budget must be nonnegative, got %d" % args.budget
+    elif args.strategy == "exhaustive" and max(args.n_min, args.n_max) > args.cap_exhaustive_n:
+        problem = "--n-min and --n-max must be at most --cap-exhaustive-n (%d), got %d" % (
+            args.cap_exhaustive_n, max(args.n_min, args.n_max)
+        )
     elif two_cycle and not args.pairs:
         problem = "--pairs is required for the two-cycle strategy"
     elif two_cycle and pairs is None:
@@ -221,6 +231,8 @@ def cmd_measure_rho(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import BoundFormula
+
     formula = BoundFormula(args.family, args.constant, args.nonterminals, args.degree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "bound"])
@@ -238,7 +250,16 @@ def cmd_datalog_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .wellnested import WellNestedWord, all_wellnested_words, matching_pairs
+    import random
+
+    from .wellnested import (
+        WellNestedWord,
+        all_wellnested_words,
+        alpha_of_tree,
+        matching_pairs,
+        oscillation,
+        oscillation_bruteforce,
+    )
 
     failures = 0
 

@@ -12,7 +12,7 @@ import itertools
 from collections import deque
 
 from ratindex.grammar import CNFGrammar, Grammar, Production, cyk_membership, trim_useless
-from ratindex.graphs import NFA, LabeledGraph
+from ratindex.graphs import NFA, GraphFormatError, LabeledGraph
 from ratindex.intersection import (
     ProductClosure,
     UnrealizableTripleError,
@@ -704,3 +704,98 @@ def oscillation_by_forest(word: WellNestedWord) -> int:
 
     m_top = combine(roots)
     return m_top + 1 if m_top >= 0 else 0
+
+
+# --- graph and automaton files, parsed and checked line by line and edge by edge
+
+
+def parse_edge_lines_by_line(text: str, allow_headers: bool):
+    """The edges of a graph or NFA text and its `initial:` and `accepting:`
+    names, one line at a time."""
+    edges = []
+    initial = None
+    accepting = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("initial:") or line.startswith("accepting:"):
+            if not allow_headers:
+                raise GraphFormatError("line %d: header line in a plain graph file" % lineno)
+            key, _, rest = line.partition(":")
+            names = rest.split()
+            if key == "initial":
+                initial = names
+            else:
+                accepting = names
+            continue
+        parts = raw.split("\t") if "\t" in raw else line.split()
+        parts = [p.strip() for p in parts if p.strip()]
+        if len(parts) != 3:
+            raise GraphFormatError(
+                "line %d: expected `source<TAB>label<TAB>target`" % lineno
+            )
+        edges.append((parts[0], parts[1], parts[2]))
+    return edges, initial, accepting
+
+
+def graph_fields_by_edge(nodes, alphabet, edges):
+    """The fields of `LabeledGraph(nodes, alphabet, edges)`, each edge copied
+    and checked in turn, or the GraphFormatError that names the first bad one."""
+    nodes, alphabet = frozenset(nodes), frozenset(alphabet)
+    edges = frozenset(tuple(e) for e in edges)
+    for src, label, dst in edges:
+        if src not in nodes or dst not in nodes:
+            raise GraphFormatError("edge endpoint not among nodes: %r" % ((src, label, dst),))
+        if label not in alphabet:
+            raise GraphFormatError("edge label %r not in alphabet" % label)
+    return nodes, alphabet, edges
+
+
+def nfa_fields_by_edge(states, alphabet, transitions, initial, accepting):
+    """The fields of `NFA(...)`, each transition copied and checked in turn,
+    or the GraphFormatError that names the first bad one."""
+    states, alphabet = frozenset(states), frozenset(alphabet)
+    transitions = frozenset(tuple(t) for t in transitions)
+    initial, accepting = frozenset(initial), frozenset(accepting)
+    if not initial <= states or not accepting <= states:
+        raise GraphFormatError("initial/accepting states must be states")
+    for src, label, dst in transitions:
+        if src not in states or dst not in states:
+            raise GraphFormatError("transition endpoint not among states")
+        if label not in alphabet:
+            raise GraphFormatError("transition label %r not in alphabet" % label)
+    return states, alphabet, transitions, initial, accepting
+
+
+def graph_fields_from_edges(edges, nodes=()):
+    """The fields of `LabeledGraph.from_edges(edges, nodes)`: nodes and labels
+    gathered edge by edge."""
+    edge_set = frozenset(tuple(e) for e in edges)
+    node_set = set(nodes)
+    labels = set()
+    for src, label, dst in edge_set:
+        node_set.add(src)
+        node_set.add(dst)
+        labels.add(label)
+    return graph_fields_by_edge(node_set, labels, edge_set)
+
+
+def parse_graph_by_line(text: str):
+    """The fields of `parse_graph(text)`."""
+    edges, _, _ = parse_edge_lines_by_line(text, allow_headers=False)
+    return graph_fields_from_edges(edges)
+
+
+def parse_nfa_by_line(text: str):
+    """The fields of `parse_nfa(text)`."""
+    edges, initial, accepting = parse_edge_lines_by_line(text, allow_headers=True)
+    if initial is None or accepting is None:
+        raise GraphFormatError("an NFA file needs `initial:` and `accepting:` lines")
+    states = set(initial) | set(accepting)
+    labels = set()
+    for src, label, dst in edges:
+        states.add(src)
+        states.add(dst)
+        labels.add(label)
+    return nfa_fields_by_edge(states, labels, edges, initial, accepting)

@@ -236,6 +236,44 @@ def test_measure_rho_checks_its_arguments_before_writing(capsys, anbn_file, argv
     assert err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--strategy", "exhaustive", "--budget", "-1"],
+            "--budget must be nonnegative, got -1",
+        ),
+        (["--strategy", "random", "--budget", "-5"], "--budget must be nonnegative, got -5"),
+        (
+            ["--strategy", "exhaustive", "--n-min", "4"],
+            "--n-min and --n-max must be at most --cap-exhaustive-n (3), got 4",
+        ),
+        (
+            ["--strategy", "exhaustive", "--n-min", "1", "--n-max", "4"],
+            "--n-min and --n-max must be at most --cap-exhaustive-n (3), got 4",
+        ),
+        (
+            ["--strategy", "exhaustive", "--n-max", "2", "--cap-exhaustive-n", "1"],
+            "--n-min and --n-max must be at most --cap-exhaustive-n (1), got 2",
+        ),
+    ],
+)
+def test_measure_rho_checks_budget_and_exhaustive_cap_before_writing(
+    capsys, anbn_file, argv, message
+):
+    # each used to print the CSV header (and, for n=1-4, the rows of n=1-3)
+    # before `error: ...` and exit 1
+    code, out, err = run_cli(capsys, "measure-rho", "--grammar", anbn_file, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_measure_rho_cap_bounds_only_exhaustive_sweeps(capsys, anbn_file):
+    argv = ["--strategy", "random", "--n-min", "4", "--n-max", "5", "--count", "5"]
+    code, out, err = run_cli(capsys, "measure-rho", "--grammar", anbn_file, *argv)
+    assert (code, err) == (0, "")
+    assert [row.split(",")[0] for row in out.splitlines()] == ["n", "4", "5"]
+
+
 def test_measure_rho_fit_slope(capsys, anbn_file):
     code, out, err = run_cli(
         capsys,
