@@ -166,6 +166,7 @@ def cmd_measure_rho(args) -> int:
         RandomSample,
         TwoCycle,
         fit_growth,
+        guard_exhaustive_alphabet,
         measure_rho,
     )
 
@@ -195,6 +196,8 @@ def cmd_measure_rho(args) -> int:
         print(problem, file=sys.stderr)
         return 2
     g = to_cnf(_load_grammar(args.grammar))
+    if args.strategy == "exhaustive":
+        guard_exhaustive_alphabet(g.terminals)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "value", "exhaustive", "witness_word", "automaton_id"])
     runs: list[tuple[int, object]] = []

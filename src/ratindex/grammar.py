@@ -13,6 +13,10 @@ from .intersection import ProductClosure, derivation_tree, realized_rows
 from .trees import EPSILON, ParseTree
 
 
+# The most words per nonterminal that ``CNFGrammar.least_words`` keeps.
+LEAST_WORDS_KEPT = 8
+
+
 class GrammarError(RatIndexError):
     pass
 
@@ -169,6 +173,49 @@ class CNFGrammar(Grammar):
                     fixed[head] = found.pop()
                     grew = True
         return fixed
+
+    @functools.cached_property
+    def least_words(self) -> tuple[tuple[str, ...], ...]:
+        """The start symbol's words of minimum length, sorted, or the first
+        ``LEAST_WORDS_KEPT`` of them when it has more: ``((),)`` when the
+        grammar derives the empty word.  One fixpoint finds each
+        nonterminal's minimum length; then, in increasing length, each
+        nonterminal up to the start's takes the first words of its rules
+        whose parts sum to that length.  Concatenation of words of fixed
+        lengths keeps their order, so the first words of a rule are made of
+        the first words of its parts.  A rational-index sweep reads them as
+        a certificate: an automaton that accepts one already has a word
+        below any longer floor.  Computed once per grammar and shared, so
+        callers must not change it."""
+        if self.epsilon_at_start:
+            return ((),)
+        least: dict[str, int] = {}
+        grew = True
+        while grew:
+            grew = False
+            for head, body in self.productions:
+                if len(body) == 1:
+                    length = 1
+                elif body[0] in least and body[1] in least:
+                    length = least[body[0]] + least[body[1]]
+                else:
+                    continue
+                if length < least.get(head, length + 1):
+                    least[head] = length
+                    grew = True
+        rules = self.by_lhs()
+        words: dict[str, list[tuple[str, ...]]] = {}
+        for head in sorted(least, key=least.get):
+            if least[head] > least[self.start]:
+                break
+            found = set()
+            for _, (_, body) in rules[head]:
+                if len(body) == 1:
+                    found.add(body)
+                elif least[body[0]] + least[body[1]] == least[head]:
+                    found.update(u + v for u in words[body[0]] for v in words[body[1]])
+            words[head] = sorted(found)[:LEAST_WORDS_KEPT]
+        return tuple(words[self.start])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import RatIndexError
@@ -88,24 +87,21 @@ class NFA:
         return len(self.states)
 
     def accepts(self, word: Sequence[str]) -> bool:
-        step = _transition_map(self)
-        current = set(self.initial)
-        for symbol in word:
-            nxt: set[str] = set()
-            for state in current:
-                nxt.update(step.get((state, symbol), ()))
-            current = nxt
-            if not current:
-                return False
-        return bool(current & self.accepting)
+        return bool(reached_states(self.transitions, self.initial, word) & self.accepting)
 
 
-@lru_cache(maxsize=512)
-def _transition_map(nfa: NFA) -> dict[tuple[str, str], tuple[str, ...]]:
-    step: dict[tuple[str, str], list[str]] = {}
-    for src, label, dst in sorted(nfa.transitions):
-        step.setdefault((src, label), []).append(dst)
-    return {k: tuple(v) for k, v in step.items()}
+def reached_states(
+    transitions: frozenset[Edge], states: Iterable[str], word: Sequence[str]
+) -> set[str]:
+    """The states reached from ``states`` by reading ``word`` over
+    ``transitions``, one scan of the transitions per symbol; it stops at the
+    first symbol that leaves no state."""
+    current = set(states)
+    for symbol in word:
+        current = {dst for src, label, dst in transitions if label == symbol and src in current}
+        if not current:
+            break
+    return current
 
 
 def _frozen_edges(edges) -> frozenset:

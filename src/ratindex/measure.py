@@ -20,14 +20,23 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import RatIndexError
 from .grammar import CNFGrammar
-from .graphs import Edge, NFA
+from .graphs import Edge, NFA, reached_states
 from .intersection import ProductClosure, decode, word_codec
-from .sampling import random_nfa
+from .sampling import _random_nfa_fields
 
 log = logging.getLogger(__name__)
 
 # The largest alphabet an exhaustive sweep enumerates automata over.
 GUARD_ALPHABET = 2
+
+
+def guard_exhaustive_alphabet(alphabet: Sequence[str]) -> None:
+    """Raise ValueError when an exhaustive sweep may not enumerate automata
+    over ``alphabet``: it has more than ``GUARD_ALPHABET`` letters."""
+    if len(alphabet) > GUARD_ALPHABET:
+        raise ValueError(
+            "exhaustive enumeration is guarded to alphabets of size <= %d" % GUARD_ALPHABET
+        )
 
 
 class BudgetExceededError(RatIndexError):
@@ -194,17 +203,20 @@ def enumerate_nfas(
             return
 
 
-def _automata_for(
+def _candidates_for(
     strategy: Strategy, n: int, alphabet: Sequence[str]
-) -> Iterator[tuple[str, NFA]]:
+) -> Iterator[tuple[str, NFA | _Candidate]]:
+    """The automata that ``measure_rho`` tests, in order and with ids:
+    exhaustive and random ones as unvalidated fields, a two-cycle one as
+    its ``NFA``."""
     if isinstance(strategy, Exhaustive):
-        yield from enumerate_nfas(n, alphabet)
+        yield from _candidates(n, alphabet)
     elif isinstance(strategy, RandomSample):
         rng = random.Random(strategy.seed)
+        letters = tuple(sorted(alphabet))
         for index in range(strategy.count):
-            size = rng.randint(1, n)
-            nfa = random_nfa(rng, size, tuple(sorted(alphabet)), strategy.density)
-            yield "random_s%d_%d" % (strategy.seed, index), nfa
+            fields = _random_nfa_fields(rng, rng.randint(1, n), letters, strategy.density)
+            yield "random_s%d_%d" % (strategy.seed, index), _Candidate._make(fields)
     else:
         if strategy.p + strategy.q > n:
             raise ValueError("two-cycle automaton has %d states, n is %d" % (
@@ -212,6 +224,14 @@ def _automata_for(
         yield "two_cycle_%d_%d" % (strategy.p, strategy.q), two_cycle_family(
             strategy.p, strategy.q
         )
+
+
+def _automata_for(
+    strategy: Strategy, n: int, alphabet: Sequence[str]
+) -> Iterator[tuple[str, NFA]]:
+    """The automata of ``_candidates_for`` as validated ``NFA``s."""
+    for ident, candidate in _candidates_for(strategy, n, alphabet):
+        yield ident, NFA(*candidate) if isinstance(candidate, _Candidate) else candidate
 
 
 def _evaluate_automaton(
@@ -225,15 +245,24 @@ def _evaluate_automaton(
     an automaton below the floor resolves none.  ``closure`` is the
     ``ProductClosure`` of ``nfa.transitions``, possibly shared with other
     automata over the same transitions, and neither built nor read when the
-    empty word answers.  When it is not given, a closure that stops at this
-    automaton's answer is built here and dropped (see ``ProductClosure``):
-    it stops at the first start triple when that is below the floor, and
-    otherwise after the bucket of the shortest start length, whose start
-    triples and the shorter triples they are built from are settled as in
-    the full closure, so the length and code are the same."""
+    empty word answers.  When it is not given, the grammar's shortest words
+    (``CNFGrammar.least_words``) are tried first: if they are shorter than
+    the floor and the automaton accepts one, its shortest word is too, and
+    the answer is None without a closure.  Otherwise a closure that stops
+    at this automaton's answer is built here and dropped (see
+    ``ProductClosure``): it stops at the first start triple when that is
+    below the floor, and otherwise after the bucket of the shortest start
+    length, whose start triples and the shorter triples they are built from
+    are settled as in the full closure, so the length and code are the
+    same."""
     if grammar.epsilon_at_start and nfa.initial & nfa.accepting:
         return (0, "") if floor <= 0 else None
     if closure is None:
+        words = grammar.least_words
+        if len(words[0]) < floor and any(
+            reached_states(nfa.transitions, nfa.initial, word) & nfa.accepting for word in words
+        ):
+            return None
         closure = ProductClosure(
             grammar, nfa.transitions, stop=(nfa.initial, nfa.accepting, floor)
         )
@@ -256,7 +285,8 @@ def measure_rho(
     whose shortest word is shorter resolves no witness, and none is
     evaluated while every start triple of its closure is shorter.
 
-    An exhaustive sweep reads the automata of ``enumerate_nfas`` as
+    An exhaustive sweep reads the automata of ``enumerate_nfas``, and a
+    random one those of ``sampling.random_nfa`` (the same draws), as
     unvalidated fields and builds the winner's ``NFA`` only; a negative
     budget is a ValueError.  A product closure depends on the transitions
     only, so in an exhaustive sweep consecutive automata with equal
@@ -264,12 +294,15 @@ def measure_rho(
     to back) share one full closure, with the witnesses it has resolved.
     Only the last closure is kept, and it is built when the first automaton
     of its transitions that the empty word does not answer reaches it.
-    Random and two-cycle automata share no closure: each builds one that
-    stops at its answer (see ``_evaluate_automaton``), so an automaton
-    below the floor settles no triple longer than its shortest start
-    triple.  The sweep always runs in the calling process, one automaton
-    after another; ``workers`` is accepted for compatibility and has no
-    effect.
+    Random and two-cycle automata share no closure.  One that accepts one
+    of the grammar's shortest words while they are below the floor builds
+    none; each other builds one that stops at its answer (see
+    ``_evaluate_automaton``), so an automaton below the floor settles no
+    triple longer than its shortest start triple.  The shortest words
+    settle most of the automata below the floor in a random sweep of a
+    Dyck grammar.  The sweep always runs in the calling process, one
+    automaton after another; ``workers`` is accepted for compatibility and
+    has no effect.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -280,15 +313,12 @@ def measure_rho(
             raise ValueError(
                 "exhaustive enumeration is guarded to n <= %d" % strategy.guard_n
             )
-        if len(alphabet) > GUARD_ALPHABET:
-            raise ValueError(
-                "exhaustive enumeration is guarded to alphabets of size <= %d" % GUARD_ALPHABET
-            )
+        guard_exhaustive_alphabet(alphabet)
 
     budget = strategy.budget if exhaustive else None
     if budget is not None and budget < 0:
         raise ValueError("enumeration budget must be nonnegative, got %d" % budget)
-    automata = _candidates(n, alphabet) if exhaustive else _automata_for(strategy, n, alphabet)
+    automata = _candidates_for(strategy, n, alphabet)
     tested_automata = automata if budget is None else itertools.islice(automata, budget)
 
     best: tuple[int, str, str, NFA | _Candidate] | None = None
@@ -321,7 +351,9 @@ def measure_rho(
     estimate = RhoEstimate(
         n=n,
         value=best[0] if best else None,
-        witness_automaton=best and (NFA(*best[3]) if exhaustive else best[3]),
+        witness_automaton=best and (
+            NFA(*best[3]) if isinstance(best[3], _Candidate) else best[3]
+        ),
         witness_word=decode(word_codec(g.terminals)[1], best[1]) if best else None,
         witness_id=best[2] if best else None,
         tested_count=tested,

@@ -5,6 +5,8 @@ Everything is driven by an explicit random.Random so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import string
 from typing import Sequence
@@ -17,7 +19,7 @@ from .grammar import (
     generating_nonterminals,
     to_cnf,
 )
-from .graphs import NFA, LabeledGraph
+from .graphs import NFA, Edge, LabeledGraph
 from .trees import EPSILON, ParseTree
 
 
@@ -147,21 +149,37 @@ def random_nfa(
     alphabet: Sequence[str],
     density: float = 0.3,
 ) -> NFA:
+    """A random NFA on states q0..q(n_states - 1): each transition (src,
+    label, dst), in the order of states, then ``alphabet``, then states, is
+    kept with probability ``density``; then each state is initial, and then
+    each is accepting, with probability 1/2.  No initial state makes q0 the
+    initial one, and no accepting state the last state the accepting one.
+    One ``rng.random()`` is drawn per transition and per state, in that
+    order."""
+    return NFA(*_random_nfa_fields(rng, n_states, alphabet, density))
+
+
+@functools.lru_cache(maxsize=64)
+def _nfa_cells(n_states: int, alphabet: tuple[str, ...]) -> tuple:
+    """The states, the possible transitions in drawing order, and the
+    frozensets shared by every automaton of this size and alphabet."""
     states = tuple("q%d" % i for i in range(n_states))
-    transitions = {
-        (src, label, dst)
-        for src in states
-        for label in alphabet
-        for dst in states
-        if rng.random() < density
-    }
-    initial = frozenset(s for s in states if rng.random() < 0.5) or frozenset({states[0]})
-    accepting = frozenset(s for s in states if rng.random() < 0.5) or frozenset(
-        {states[-1]}
-    )
-    return NFA(
-        frozenset(states), frozenset(alphabet), frozenset(transitions), initial, accepting
-    )
+    cells = tuple((src, label, dst) for src in states for label in alphabet for dst in states)
+    return (states, cells, frozenset(states), frozenset(alphabet),
+            frozenset({states[0]}), frozenset({states[-1]}))
+
+
+def _random_nfa_fields(
+    rng: random.Random, n_states: int, alphabet: Sequence[str], density: float
+) -> tuple[frozenset, frozenset, frozenset[Edge], frozenset[str], frozenset[str]]:
+    """The ``NFA`` fields of ``random_nfa``, drawn in its order but not
+    validated: a sweep builds an ``NFA`` only for its winner."""
+    states, cells, state_set, letter_set, first, last = _nfa_cells(n_states, tuple(alphabet))
+    draw = rng.random
+    transitions = frozenset(itertools.compress(cells, [draw() < density for _ in cells]))
+    initial = frozenset(itertools.compress(states, [draw() < 0.5 for _ in states])) or first
+    accepting = frozenset(itertools.compress(states, [draw() < 0.5 for _ in states])) or last
+    return state_set, letter_set, transitions, initial, accepting
 
 
 def random_superlinear_grammar(rng: random.Random) -> Grammar:

@@ -799,3 +799,26 @@ def parse_nfa_by_line(text: str):
         states.add(dst)
         labels.add(label)
     return nfa_fields_by_edge(states, labels, edges, initial, accepting)
+
+
+def random_nfa_by_comprehension(rng, n_states: int, alphabet, density: float = 0.3) -> NFA:
+    """Reference for ``sampling.random_nfa``: one ``rng.random()`` per
+    transition (src, label, dst) in the order of a set comprehension over
+    states, alphabet and states, then one per state for the initial and one
+    per state for the accepting states; q0 is initial and the last state
+    accepting when none is drawn."""
+    states = tuple("q%d" % i for i in range(n_states))
+    transitions = {
+        (src, label, dst)
+        for src in states
+        for label in alphabet
+        for dst in states
+        if rng.random() < density
+    }
+    initial = frozenset(s for s in states if rng.random() < 0.5) or frozenset({states[0]})
+    accepting = frozenset(s for s in states if rng.random() < 0.5) or frozenset(
+        {states[-1]}
+    )
+    return NFA(
+        frozenset(states), frozenset(alphabet), frozenset(transitions), initial, accepting
+    )

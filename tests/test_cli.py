@@ -267,6 +267,20 @@ def test_measure_rho_checks_budget_and_exhaustive_cap_before_writing(
     assert (code, out, err) == (2, "", message + "\n")
 
 
+def test_measure_rho_checks_the_exhaustive_alphabet_before_writing(capsys, tmp_path):
+    # three letters: it used to print the CSV header before the error
+    path = tmp_path / "abc.cfg"
+    path.write_text("S -> a S b | c\n")
+    code, out, err = run_cli(capsys, "measure-rho", "--grammar", str(path),
+                             "--strategy", "exhaustive")
+    assert (code, out) == (1, "")
+    assert err == "error: exhaustive enumeration is guarded to alphabets of size <= 2\n"
+    # other strategies sweep it
+    code, out, err = run_cli(capsys, "measure-rho", "--grammar", str(path),
+                             "--strategy", "random", "--count", "20")
+    assert (code, err) == (0, "") and out.splitlines()[1].startswith("1,1,false,c,")
+
+
 def test_measure_rho_cap_bounds_only_exhaustive_sweeps(capsys, anbn_file):
     argv = ["--strategy", "random", "--n-min", "4", "--n-max", "5", "--count", "5"]
     code, out, err = run_cli(capsys, "measure-rho", "--grammar", anbn_file, *argv)

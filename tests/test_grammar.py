@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from ratindex.grammar import (
@@ -6,6 +9,7 @@ from ratindex.grammar import (
     EmptyLanguageError,
     Grammar,
     GrammarSyntaxError,
+    LEAST_WORDS_KEPT,
     Production,
     SymbolNotInAlphabetError,
     UndeclaredSymbolError,
@@ -21,7 +25,7 @@ from ratindex.grammar import (
 from ratindex.sampling import random_grammar
 from ratindex.trees import EPSILON
 
-from oracles import derivable_words
+from oracles import derivable_words, derives
 
 
 def test_parse_basic(anbn):
@@ -225,3 +229,64 @@ def test_parse_word_forms(anbn):
 def test_production_str():
     assert str(Production("S", ("a", "S"))) == "S -> a S"
     assert str(Production("S", ())) == "S -> " + EPSILON
+
+
+def wide_grammar(rng: random.Random) -> Grammar:
+    """A random grammar with a nonempty language whose nonterminals other
+    than S each have one or more terminal rules: products of them give
+    more shortest words than ``least_words`` keeps."""
+    while True:
+        nonterminals = ("S", "A", "B", "C")[: rng.randint(1, 4)]
+        letters = "abcd"[: rng.randint(1, 4)]
+        productions = []
+        for nt in nonterminals:
+            if nt != "S":
+                chosen = rng.sample(letters, rng.randint(1, len(letters)))
+                productions += [Production(nt, (a,)) for a in chosen]
+            for _ in range(rng.randint(0 if nt != "S" else 1, 2)):
+                if rng.random() < 0.05:
+                    productions.append(Production(nt, ()))
+                else:
+                    body = tuple(
+                        rng.choice(nonterminals[1:] or letters)
+                        if rng.random() < 0.7 else rng.choice(letters)
+                        for _ in range(rng.randint(2, 3))
+                    )
+                    productions.append(Production(nt, body))
+        g = Grammar(frozenset(letters), frozenset(nonterminals),
+                    tuple(dict.fromkeys(productions)), "S")
+        try:
+            to_cnf(g)
+        except EmptyLanguageError:
+            continue
+        return g
+
+
+def test_least_words_match_the_first_words_of_least_length(rng):
+    # brute force: every word over the alphabet, length 0, 1, 2, ... until
+    # one is in the language
+    epsilon = over_cap = longer = 0
+    for k in range(400):
+        g = random_grammar(rng) if k % 2 else wide_grammar(rng)
+        letters = sorted(g.terminals)
+        for m in itertools.count():
+            least = [w for w in itertools.product(letters, repeat=m) if derives(g, w)]
+            if least:
+                break
+        words = to_cnf(g).least_words
+        assert words == tuple(least[:LEAST_WORDS_KEPT])
+        assert all(derives(g, w) for w in words)
+        epsilon += m == 0
+        over_cap += len(least) > LEAST_WORDS_KEPT
+        longer += m >= 3
+    assert epsilon >= 40 and over_cap >= 10 and longer >= 50
+
+
+def test_least_words_examples():
+    assert to_cnf(parse_grammar("S -> S S | a S b | c S d | a b | c d\n")).least_words == (
+        ("a", "b"), ("c", "d"),
+    )
+    assert to_cnf(parse_grammar("S -> a S b S |\n")).least_words == ((),)
+    # 3^3 words of length 3; the first 8 in order
+    g = to_cnf(parse_grammar("S -> A A A | a a a a\nA -> c | b | a\n"))
+    assert g.least_words == tuple(itertools.islice(itertools.product("abc", repeat=3), 8))

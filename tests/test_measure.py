@@ -488,6 +488,53 @@ def test_sweeps_of_stopped_closures_match_the_floor_free_reduction(text):
     assert len(runs) == 52 and nonempty >= 30
 
 
+@pytest.fixture
+def closures_built(monkeypatch):
+    """The transitions of each ``ProductClosure`` that ``measure`` builds
+    from here on."""
+    built = []
+
+    class CountingClosure(ProductClosure):
+        def __init__(self, g, transitions, **kwargs):
+            built.append(transitions)
+            super().__init__(g, transitions, **kwargs)
+
+    monkeypatch.setattr(ratindex.measure, "ProductClosure", CountingClosure)
+    return built
+
+
+def test_random_grammar_sweeps_over_shortest_words_match_the_floor_free_reduction(
+    rng, closures_built
+):
+    # an automaton that accepts one of the grammar's shortest words while
+    # they are below the floor builds no closure
+    tested = valued = epsilon_grammars = 0
+    for seed in range(40):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=3, epsilon_weight=0.1)
+        if seed % 2:
+            g = rename_terminals(g, UP_DOWN_FLAT)
+        n = 2 + seed % 7
+        strategy = RandomSample(count=50, seed=seed, density=rng.choice([0.15, 0.3, 0.5]))
+        estimate = measure_rho(g, n, strategy)
+        assert estimate == measure_rho_without_floor(g, n, strategy)
+        tested += estimate.tested_count
+        valued += estimate.value is not None
+        epsilon_grammars += g.epsilon_at_start
+    assert tested == 2000 and valued >= 35 and epsilon_grammars >= 5
+    assert len(closures_built) <= 1500
+
+
+def test_random_sweep_builds_closures_only_above_the_shortest_words(closures_built):
+    # of the seed-7 Dyck sweep's 500 automata, 230 accept "ab" after a
+    # longer word is found, and build no closure
+    g = to_cnf(parse_grammar("S -> S S | a S b | a b\n"))
+    estimate = measure_rho(g, 6, RandomSample(count=500, seed=7))
+    assert (estimate.value, estimate.witness_word, estimate.witness_id) == (
+        6, tuple("aaabbb"), "random_s7_334"
+    )
+    assert estimate.tested_count == 500 and len(closures_built) == 270
+
+
 def test_pool_matches_serial_beyond_one_batch(anbn_cnf):
     strategy = RandomSample(count=300, seed=4)
     serial = measure_rho(anbn_cnf, 4, strategy, workers=1)

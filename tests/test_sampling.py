@@ -6,12 +6,13 @@ from ratindex.sampling import (
     min_heights,
     random_cnf_grammar,
     random_grammar,
+    random_nfa,
     random_parse_tree,
     random_reduced_ultralinear_grammar,
     random_superlinear_grammar,
 )
 
-from oracles import derives
+from oracles import derives, random_nfa_by_comprehension
 
 
 def test_min_heights_simple(anbn):
@@ -70,3 +71,21 @@ def test_reduced_generator_passes_check(rng):
         ultra, reduced = verify_ultralinear(g, partition)
         assert ultra and reduced
         to_cnf(g)  # language is nonempty by construction
+
+
+def test_random_nfa_draws_as_the_set_comprehension():
+    alphabets = ["a", "ab", ("b", "a"), ["up", "down", "flat"], "cab"]
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        ref = random.Random(seed)
+        for _ in range(60):
+            size = rng.randint(1, 8)
+            alphabet = rng.choice(alphabets)
+            density = rng.choice([0, 0.05, 0.3, 0.5, 0.9, 1, rng.random()])
+            ref.setstate(rng.getstate())
+            drawn = random_nfa(rng, size, alphabet, density)
+            assert drawn == random_nfa_by_comprehension(ref, size, alphabet, density)
+            assert rng.getstate() == ref.getstate()
+            checked += 1
+    assert checked == 2400
