@@ -1,7 +1,9 @@
 """Polynomial upper-bound formulas for the rational index of grammar classes.
 
 The bounds are asymptotic; the constant is exposed as a calibration
-parameter (default 1) and evaluation uses exact integer arithmetic.
+parameter (default 1) and evaluation uses exact integer arithmetic.  The
+nonterminal count, the degree and the automaton size n are nonnegative:
+a negative one is a ValueError.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class BoundFormula:
             raise ValueError("%s bound needs a nonterminal count" % self.kind)
         if self.kind in ("dimension", "oscillation", "ultralinear") and self.degree is None:
             raise ValueError("%s bound needs a degree parameter" % self.kind)
+        if min(self.nonterminal_count or 0, self.degree or 0) < 0:
+            raise ValueError("the nonterminal count and the degree must be nonnegative")
 
     def value(self, n: int) -> int:
         if n < 0:

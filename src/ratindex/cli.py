@@ -236,6 +236,9 @@ def cmd_measure_rho(args) -> int:
 def cmd_bounds(args) -> int:
     from .bounds import BoundFormula
 
+    if args.n_min < 0:
+        print("--n-min must be nonnegative, got %d" % args.n_min, file=sys.stderr)
+        return 2
     formula = BoundFormula(args.family, args.constant, args.nonterminals, args.degree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "bound"])
@@ -256,6 +259,7 @@ def cmd_selftest(args) -> int:
     import random
 
     from .wellnested import (
+        DEFAULT_BRUTE_CAP,
         WellNestedWord,
         all_wellnested_words,
         alpha_of_tree,
@@ -272,11 +276,8 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures += 1
 
-    for length in range(0, min(args.osc_cap, args.cap_osc_brute) + 1, 2):
-        if any(
-            oscillation(w) != oscillation_bruteforce(w, cap=args.cap_osc_brute)
-            for w in all_wellnested_words(length)
-        ):
+    for length in range(0, min(args.osc_cap, DEFAULT_BRUTE_CAP) + 1, 2):
+        if any(oscillation(w) != oscillation_bruteforce(w) for w in all_wellnested_words(length)):
             check("oscillation agrees with brute force", False)
             break
     else:
@@ -435,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run a quick built-in check suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--osc-cap", type=int, default=12, dest="osc_cap")
-    p.add_argument("--cap-osc-brute", type=int, default=20, dest="cap_osc_brute")
     p.set_defaults(func=cmd_selftest)
 
     return parser

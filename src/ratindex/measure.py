@@ -119,7 +119,7 @@ def two_cycle_family(p: int, q: int) -> NFA:
 
 
 class _Candidate(NamedTuple):
-    """An enumerated automaton's ``NFA`` fields, not validated."""
+    """An automaton's ``NFA`` fields, not validated: what a sweep tests."""
     states: frozenset[str]
     alphabet: frozenset[str]
     transitions: frozenset[Edge]
@@ -197,18 +197,15 @@ def enumerate_nfas(
     the rest have empty languages.  With a budget, it stops silently after
     that many automata (at least one); ``measure_rho`` keeps its own count.
     """
-    for produced, (ident, candidate) in enumerate(_candidates(max_states, alphabet), 1):
-        yield ident, NFA(*candidate)
-        if budget is not None and produced >= budget:
-            return
+    automata = _automata_for(Exhaustive(), max_states, alphabet)
+    return automata if budget is None else itertools.islice(automata, max(budget, 1))
 
 
 def _candidates_for(
     strategy: Strategy, n: int, alphabet: Sequence[str]
-) -> Iterator[tuple[str, NFA | _Candidate]]:
-    """The automata that ``measure_rho`` tests, in order and with ids:
-    exhaustive and random ones as unvalidated fields, a two-cycle one as
-    its ``NFA``."""
+) -> Iterator[tuple[str, _Candidate]]:
+    """The automata that ``measure_rho`` tests, in order and with ids, as
+    unvalidated fields."""
     if isinstance(strategy, Exhaustive):
         yield from _candidates(n, alphabet)
     elif isinstance(strategy, RandomSample):
@@ -221,8 +218,9 @@ def _candidates_for(
         if strategy.p + strategy.q > n:
             raise ValueError("two-cycle automaton has %d states, n is %d" % (
                 strategy.p + strategy.q, n))
-        yield "two_cycle_%d_%d" % (strategy.p, strategy.q), two_cycle_family(
-            strategy.p, strategy.q
+        nfa = two_cycle_family(strategy.p, strategy.q)
+        yield "two_cycle_%d_%d" % (strategy.p, strategy.q), _Candidate(
+            nfa.states, nfa.alphabet, nfa.transitions, nfa.initial, nfa.accepting
         )
 
 
@@ -230,12 +228,11 @@ def _automata_for(
     strategy: Strategy, n: int, alphabet: Sequence[str]
 ) -> Iterator[tuple[str, NFA]]:
     """The automata of ``_candidates_for`` as validated ``NFA``s."""
-    for ident, candidate in _candidates_for(strategy, n, alphabet):
-        yield ident, NFA(*candidate) if isinstance(candidate, _Candidate) else candidate
+    return ((ident, NFA(*c)) for ident, c in _candidates_for(strategy, n, alphabet))
 
 
 def _evaluate_automaton(
-    grammar: CNFGrammar, nfa: NFA | _Candidate, floor: int = 0,
+    grammar: CNFGrammar, nfa: _Candidate, floor: int = 0,
     closure: ProductClosure | None = None
 ) -> tuple[int, str] | None:
     """Length and word code of ``shortest_start`` for one automaton, or
@@ -285,9 +282,10 @@ def measure_rho(
     whose shortest word is shorter resolves no witness, and none is
     evaluated while every start triple of its closure is shorter.
 
-    An exhaustive sweep reads the automata of ``enumerate_nfas``, and a
-    random one those of ``sampling.random_nfa`` (the same draws), as
-    unvalidated fields and builds the winner's ``NFA`` only; a negative
+    Every strategy's automata are read as unvalidated fields
+    (``_candidates_for``): an exhaustive sweep's are those of
+    ``enumerate_nfas``, and a random one's those of ``sampling.random_nfa``
+    (the same draws).  Only the winner's ``NFA`` is built.  A negative
     budget is a ValueError.  A product closure depends on the transitions
     only, so in an exhaustive sweep consecutive automata with equal
     transitions (the enumeration yields all those of a transition set back
@@ -310,9 +308,7 @@ def measure_rho(
     exhaustive = isinstance(strategy, Exhaustive)
     if exhaustive:
         if n > strategy.guard_n:
-            raise ValueError(
-                "exhaustive enumeration is guarded to n <= %d" % strategy.guard_n
-            )
+            raise ValueError("exhaustive enumeration is guarded to n <= %d" % strategy.guard_n)
         guard_exhaustive_alphabet(alphabet)
 
     budget = strategy.budget if exhaustive else None
@@ -321,7 +317,7 @@ def measure_rho(
     automata = _candidates_for(strategy, n, alphabet)
     tested_automata = automata if budget is None else itertools.islice(automata, budget)
 
-    best: tuple[int, str, str, NFA | _Candidate] | None = None
+    best: tuple[int, str, str, _Candidate] | None = None
     tested = 0
     closure: ProductClosure | None = None
     closure_of = None  # the transitions of ``closure``
@@ -351,9 +347,7 @@ def measure_rho(
     estimate = RhoEstimate(
         n=n,
         value=best[0] if best else None,
-        witness_automaton=best and (
-            NFA(*best[3]) if isinstance(best[3], _Candidate) else best[3]
-        ),
+        witness_automaton=best and NFA(*best[3]),
         witness_word=decode(word_codec(g.terminals)[1], best[1]) if best else None,
         witness_id=best[2] if best else None,
         tested_count=tested,

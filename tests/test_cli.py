@@ -353,6 +353,46 @@ def test_bounds_csv(capsys):
     assert out.splitlines() == ["n,bound", "1,9", "2,144"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--nonterminals", "4", "--degree", "-1", "--n-max", "2"],  # printed floats
+    ["--nonterminals", "4", "--degree", "-1", "--n-min", "0", "--n-max", "1"],  # 0 ** -1
+    ["--nonterminals", "0", "--degree", "-1", "--n-max", "1"],
+])
+def test_bounds_negative_degree_is_an_error_before_the_header(capsys, argv):
+    code, out, err = run_cli(capsys, "bounds", "--family", "dimension", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: the nonterminal count and the degree must be nonnegative\n"
+
+
+def test_bounds_negative_n_min_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--family", "linear", "--n-min", "-1",
+                             "--n-max", "2")
+    assert (code, out, err) == (2, "", "--n-min must be nonnegative, got -1\n")
+    code, out, err = run_cli(capsys, "bounds", "--family", "ultralinear", "--degree", "0",
+                             "--n-min", "0", "--n-max", "2")
+    assert (code, out, err) == (0, "n,bound\n0,1\n1,1\n2,1\n", "")
+
+
+def test_measure_rho_exhaustive_rows(capsys, anbn_file):
+    argv = ["measure-rho", "--grammar", anbn_file, "--strategy", "exhaustive",
+            "--n-min", "1", "--n-max", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n,value,exhaustive,witness_word,automaton_id",
+        "1,2,true,ab,enum_m1_t3_i0_f0",
+        "2,4,true,aabb,enum_m2_t16_i0_f0",
+    ]
+    # a tripped budget warns and reports the partial sweep as not exhaustive
+    code, out, err = run_cli(capsys, *argv, "--budget", "5")
+    assert code == 0
+    assert err == "warning: enumeration budget of 5 automata exceeded at n=2\n"
+    assert out.splitlines()[1:] == [
+        "1,2,true,ab,enum_m1_t3_i0_f0",
+        "2,2,false,ab,enum_m1_t3_i0_f0",
+    ]
+
+
 def test_datalog_eval(capsys, tmp_path):
     program = tmp_path / "desc.dl"
     program.write_text(EXAMPLE_PROGRAM)

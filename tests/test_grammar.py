@@ -189,6 +189,11 @@ def test_cyk_parse_tree_is_valid(anbn, anbn_cnf):
     assert is_valid_parse_tree(anbn_cnf, tree, require_start=True)
 
 
+def test_cyk_parse_rejects_words_outside_the_language(anbn_cnf):
+    for word in ("aab", "ba", "abab", ""):
+        assert cyk_parse(anbn_cnf, word) is None
+
+
 def test_cyk_parse_epsilon():
     cnf = to_cnf(parse_grammar("S -> a S |\n"))
     tree = cyk_parse(cnf, ())

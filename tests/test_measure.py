@@ -78,6 +78,19 @@ def test_bound_parameter_validation():
         linear_bound().value(-1)
 
 
+def test_bound_rejects_negative_parameters():
+    # a negative degree used to evaluate to floats, or divide by zero at 0
+    for make in (
+        lambda: BoundFormula("dimension", 1, 4, -1),
+        lambda: dimension_bound(0, -1),
+        lambda: oscillation_bound(-1, 2),
+        lambda: ultralinear_bound(-1),
+    ):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            make()
+    assert dimension_bound(0, 0).value(0) == 1
+
+
 # --- growth fitting -----------------------------------------------------------
 
 
@@ -205,6 +218,17 @@ def test_enumeration_is_canonical_and_complete():
     # ids are unique
     ids = [ident for ident, _ in enumerate_nfas(2, ("a",))]
     assert len(ids) == len(set(ids))
+
+
+def test_enumeration_budget_cuts_the_stream():
+    stream = list(enumerate_nfas(2, ("a", "b")))
+    assert len(stream) > 40
+    for budget in (0, 1):  # at least one automaton
+        assert list(enumerate_nfas(2, ("a", "b"), budget)) == stream[:1]
+    for budget in (2, 17, 40, len(stream), len(stream) + 5):
+        cut = list(enumerate_nfas(2, ("a", "b"), budget))
+        assert cut == stream[:budget]
+        assert all(type(nfa) is NFA for _, nfa in cut)
 
 
 def test_quadratic_family_values_and_slope(anbn_cnf):
