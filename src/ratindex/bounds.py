@@ -2,8 +2,8 @@
 
 The bounds are asymptotic; the constant is exposed as a calibration
 parameter (default 1) and evaluation uses exact integer arithmetic.  The
-nonterminal count, the degree and the automaton size n are nonnegative:
-a negative one is a ValueError.
+constant, the nonterminal count, the degree and the automaton size n are
+nonnegative: a negative one is a ValueError.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ class BoundFormula:
             raise ValueError("%s bound needs a degree parameter" % self.kind)
         if min(self.nonterminal_count or 0, self.degree or 0) < 0:
             raise ValueError("the nonterminal count and the degree must be nonnegative")
+        if self.constant < 0:
+            raise ValueError("the constant must be nonnegative, got %d" % self.constant)
 
     def value(self, n: int) -> int:
         if n < 0:

@@ -239,6 +239,10 @@ def cmd_bounds(args) -> int:
     if args.n_min < 0:
         print("--n-min must be nonnegative, got %d" % args.n_min, file=sys.stderr)
         return 2
+    if args.n_max < args.n_min:
+        print("--n-max must be at least --n-min (%d), got %d" % (args.n_min, args.n_max),
+              file=sys.stderr)
+        return 2
     formula = BoundFormula(args.family, args.constant, args.nonterminals, args.degree)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "bound"])
@@ -268,6 +272,10 @@ def cmd_selftest(args) -> int:
         oscillation_bruteforce,
     )
 
+    if args.osc_cap < 2:
+        # below 2 the brute-force check compares at most the empty word
+        print("--osc-cap must be at least 2, got %d" % args.osc_cap, file=sys.stderr)
+        return 2
     failures = 0
 
     def check(name: str, ok: bool) -> None:

@@ -10,6 +10,7 @@ automaton after another.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -127,57 +128,68 @@ class _Candidate(NamedTuple):
     accepting: frozenset[str]
 
 
-def _candidates(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple[str, _Candidate]]:
-    """The automata of ``enumerate_nfas``, in order and with ids, as unvalidated
-    fields that share their transition set's and their size's frozensets."""
+@functools.lru_cache(maxsize=16)
+def _size_tables(m: int, letters: tuple[str, ...]) -> tuple:
+    """``_canonical_sets``'s states, cell edges, tables of each non-identity
+    permutation's image of 9-bit chunks of a set, and pairs, at size m."""
+    names = tuple("q%d" % i for i in range(m))
+    cells = [(s, ai, t) for s in range(m) for ai in range(len(letters)) for t in range(m)]
+    state_sets = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
+    named = [frozenset(names[s] for s in c) for c in state_sets]
+    ids = ["".join(map(str, c)) for c in state_sets]
+    perms = list(itertools.permutations(range(m)))[1:]  # the identity comes first
+    set_images = [[tuple(sorted(p[s] for s in c)) for c in state_sets] for p in perms]
+    bit_images = [
+        [[sum(image[low + b] for b in range(9) if v >> b & 1)
+          for v in range(1 << min(9, len(cells) - low))] for low in range(0, len(cells), 9)]
+        for image in ([1 << cells.index((p[s], ai, p[t])) for s, ai, t in cells] for p in perms)
+    ]
+
+    @functools.lru_cache(maxsize=None)
+    def pairs(automorphisms: tuple[int, ...]) -> tuple:
+        images = [set_images[k] for k in automorphisms]
+        return tuple(
+            (named[x], named[y], "%s_f%s" % (ids[x], ids[y]))
+            for x, y in itertools.product(range(len(state_sets)), repeat=2)
+            if not any((i[x], i[y]) < (state_sets[x], state_sets[y]) for i in images)
+        )
+
+    edges = [(names[s], letters[ai], names[t]) for s, ai, t in cells]
+    return frozenset(names), edges, bit_images, pairs
+
+
+def _canonical_sets(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple]:
+    """Per size m = 1..max_states, the transition sets that no state
+    permutation sorts lower, as (states, bits, transitions, pairs) in order
+    of ``bits`` (bit b: the b-th cell (state, letter, state) in sorted order);
+    ``pairs`` holds the (initial, accepting, id suffix) that no automorphism
+    sorts lower.  Orderly generation (Read 1978; McKay 1998): a canonical set
+    less its highest cell is canonical, so the sets whose highest cell is c
+    are the canonical P | 2^c for the canonical P found before c, in order."""
     letters = tuple(sorted(alphabet))
-    letter_set = frozenset(letters)
     for m in range(1, max_states + 1):
-        states = tuple("q%d" % i for i in range(m))
-        state_set = frozenset(states)
-        # Cells are listed in sorted order, so a transition set sorts as the
-        # list of its cell indices.
-        cells = [(s, ai, t) for s in range(m) for ai in range(len(letters)) for t in range(m)]
-        rank = {cell: b for b, cell in enumerate(cells)}
-        state_sets = [
-            c for size in range(1, m + 1) for c in itertools.combinations(range(m), size)
-        ]
-        named = [frozenset(states[s] for s in c) for c in state_sets]
-        ids = ["".join(map(str, c)) for c in state_sets]
-        # Every permutation but the identity, which comes first: its image
-        # of each cell index and of each state set.
-        images = [
-            (
-                [rank[(perm[s], ai, perm[t])] for s, ai, t in cells],
-                [tuple(sorted(perm[s] for s in c)) for c in state_sets],
-            )
-            for perm in itertools.islice(itertools.permutations(range(m)), 1, None)
-        ]
-        for bits in range(1 << len(cells)):
-            present = [b for b in range(len(cells)) if bits >> b & 1]
+        states, edges, bit_images, pairs = _size_tables(m, letters)
+        canonical: list[int] = []
+        for bits in itertools.chain([0], (
+            low | 1 << c for c in range(len(edges))
+            for low in itertools.islice(canonical, len(canonical))
+        )):
             automorphisms = []
-            for cell_image, set_image in images:
-                relabeled = sorted(cell_image[b] for b in present)
-                if relabeled < present:
+            for k, tables in enumerate(bit_images):
+                image = 0
+                for chunk, table in enumerate(tables):
+                    image |= table[bits >> 9 * chunk & 511]
+                # The image sorts lower when it has the lowest differing bit.
+                diff = image ^ bits
+                if diff & -diff & image:
                     break
-                if relabeled == present:
-                    automorphisms.append(set_image)
+                if not diff:
+                    automorphisms.append(k)
             else:
-                transitions = frozenset(
-                    (states[s], letters[ai], states[t])
-                    for s, ai, t in (cells[b] for b in present)
-                )
-                prefix = "enum_m%d_t%x_i" % (m, bits)
-                for (x, initial), (y, accepting) in itertools.product(
-                    enumerate(state_sets), repeat=2
-                ):
-                    if automorphisms and any(
-                        (image[x], image[y]) < (initial, accepting) for image in automorphisms
-                    ):
-                        continue
-                    yield "%s%s_f%s" % (prefix, ids[x], ids[y]), _Candidate(
-                        state_set, letter_set, transitions, named[x], named[y]
-                    )
+                if bits >> len(edges) - 1 == 0:  # no cell to add after the last
+                    canonical.append(bits)
+                transitions = frozenset(edges[b] for b in range(len(edges)) if bits >> b & 1)
+                yield states, bits, transitions, pairs(tuple(automorphisms))
 
 
 def enumerate_nfas(
@@ -188,10 +200,9 @@ def enumerate_nfas(
 
     An automaton is kept when no state permutation gives it a smaller
     encoding (sorted transitions, then sorted initial and accepting
-    states).  The transitions decide first, so each transition set is
-    tested once: it is skipped whole when a permutation sorts it lower, and
-    otherwise its initial/accepting pairs are compared only under the
-    permutations that map it to itself.
+    states).  The transitions decide first: the canonical transition sets
+    are generated in order, each from a smaller one (``_canonical_sets``),
+    and a set's initial/accepting pairs are compared under its automorphisms.
 
     Only automata with nonempty initial and accepting sets are produced;
     the rest have empty languages.  With a budget, it stops silently after
@@ -207,7 +218,12 @@ def _candidates_for(
     """The automata that ``measure_rho`` tests, in order and with ids, as
     unvalidated fields."""
     if isinstance(strategy, Exhaustive):
-        yield from _candidates(n, alphabet)
+        letter_set = frozenset(alphabet)  # shared, like the set's and the size's
+        for states, bits, transitions, pairs in _canonical_sets(n, alphabet):
+            for initial, accepting, suffix in pairs:
+                yield "enum_m%d_t%x_i%s" % (len(states), bits, suffix), _Candidate(
+                    states, letter_set, transitions, initial, accepting
+                )
     elif isinstance(strategy, RandomSample):
         rng = random.Random(strategy.seed)
         letters = tuple(sorted(alphabet))
@@ -282,23 +298,20 @@ def measure_rho(
     whose shortest word is shorter resolves no witness, and none is
     evaluated while every start triple of its closure is shorter.
 
-    Every strategy's automata are read as unvalidated fields
-    (``_candidates_for``): an exhaustive sweep's are those of
-    ``enumerate_nfas``, and a random one's those of ``sampling.random_nfa``
-    (the same draws).  Only the winner's ``NFA`` is built.  A negative
-    budget is a ValueError.  A product closure depends on the transitions
-    only, so in an exhaustive sweep consecutive automata with equal
-    transitions (the enumeration yields all those of a transition set back
-    to back) share one full closure, with the witnesses it has resolved.
-    Only the last closure is kept, and it is built when the first automaton
-    of its transitions that the empty word does not answer reaches it.
-    Random and two-cycle automata share no closure.  One that accepts one
-    of the grammar's shortest words while they are below the floor builds
-    none; each other builds one that stops at its answer (see
-    ``_evaluate_automaton``), so an automaton below the floor settles no
-    triple longer than its shortest start triple.  The shortest words
-    settle most of the automata below the floor in a random sweep of a
-    Dyck grammar.  The sweep always runs in the calling process, one
+    Automata are read as unvalidated fields, and only the winner's ``NFA``
+    is built.  A negative budget is a ValueError.  An exhaustive sweep reads
+    the automata of ``enumerate_nfas`` set by set (``_canonical_sets``): a
+    product closure depends on the transitions only, so a set's automata
+    share one full closure, built at the first one that the empty word does
+    not answer.  Once the best length exceeds the set's longest start
+    triple, its other automata are counted and skipped whole, with no
+    ``_Candidate``; an id is built only for a result that is compared.  A
+    budget that ends inside a set cuts it there.  Random and two-cycle
+    automata share no closure.  One that accepts one of the grammar's
+    shortest words while they are below the floor builds none; each other
+    builds one that stops at its answer (see ``_evaluate_automaton``), so
+    an automaton below the floor settles no triple longer than its shortest
+    start triple.  The sweep always runs in the calling process, one
     automaton after another; ``workers`` is accepted for compatibility and
     has no effect.
     """
@@ -314,35 +327,42 @@ def measure_rho(
     budget = strategy.budget if exhaustive else None
     if budget is not None and budget < 0:
         raise ValueError("enumeration budget must be nonnegative, got %d" % budget)
-    automata = _candidates_for(strategy, n, alphabet)
-    tested_automata = automata if budget is None else itertools.islice(automata, budget)
 
     best: tuple[int, str, str, _Candidate] | None = None
-    tested = 0
-    closure: ProductClosure | None = None
-    closure_of = None  # the transitions of ``closure``
-    for ident, nfa in tested_automata:
-        tested += 1
-        shared = nfa.transitions == closure_of  # never, outside exhaustive sweeps
-        if exhaustive and not shared and not (
-            g.epsilon_at_start and nfa.initial & nfa.accepting
-        ):
-            closure, closure_of = ProductClosure(g, nfa.transitions), nfa.transitions
-            longest = max((d for r in closure.by_source[g.start].values() for _, d in r), default=0)
-            shared = True
-        if shared and best and longest < best[0]:
-            continue
-        result = _evaluate_automaton(g, nfa, best[0] if best else 0, closure if shared else None)
-        if result is None:
-            continue
+    tested, truncated = 0, False
+
+    def compare(result: tuple[int, str], ident: str, nfa: _Candidate) -> None:
+        nonlocal best
         length, code = result
-        if (
-            best is None
-            or length > best[0]
-            or (length == best[0] and (code, ident) < best[1:3])
-        ):
+        if best is None or length > best[0] or (length == best[0] and (code, ident) < best[1:3]):
             best = (length, code, ident, nfa)
-    truncated = budget is not None and next(automata, None) is not None
+
+    if exhaustive:
+        letter_set = frozenset(alphabet)
+        for states, bits, transitions, pairs in _canonical_sets(n, alphabet):
+            if budget is not None and tested + len(pairs) > budget:
+                pairs, truncated = pairs[:budget - tested], True
+            tested += len(pairs)
+            closure = None
+            for initial, accepting, suffix in pairs:
+                if closure is None and not (g.epsilon_at_start and initial & accepting):
+                    closure = ProductClosure(g, transitions)
+                    rows = closure.by_source[g.start].values()
+                    longest = max((d for r in rows for _, d in r), default=0)
+                if closure is not None and best and longest < best[0]:
+                    break
+                nfa = _Candidate(states, letter_set, transitions, initial, accepting)
+                result = _evaluate_automaton(g, nfa, best[0] if best else 0, closure)
+                if result is not None:
+                    compare(result, "enum_m%d_t%x_i%s" % (len(states), bits, suffix), nfa)
+            if truncated:
+                break
+    else:
+        for ident, nfa in _candidates_for(strategy, n, alphabet):
+            tested += 1
+            result = _evaluate_automaton(g, nfa, best[0] if best else 0)
+            if result is not None:
+                compare(result, ident, nfa)
 
     estimate = RhoEstimate(
         n=n,

@@ -392,12 +392,16 @@ def measure_rho_without_floor(g: CNFGrammar, n: int, strategy) -> RhoEstimate:
     ``shortest_start_scan``; the estimate has the largest length, ties to
     the smallest word, then the smallest id.  Like ``measure_rho``, raises
     ``BudgetExceededError`` with the partial estimate when an exhaustive
-    sweep has more automata than its budget."""
-    budget = strategy.budget if isinstance(strategy, Exhaustive) else None
+    sweep has more automata than its budget.  An exhaustive sweep's automata
+    come from ``automata_by_scan``, not from ``ratindex``."""
+    exhaustive = isinstance(strategy, Exhaustive)
+    budget = strategy.budget if exhaustive else None
+    letters = sorted(g.terminals)
+    automata = automata_by_scan(n, letters) if exhaustive else _automata_for(strategy, n, letters)
     best = None
     tested = 0
     truncated = False
-    for ident, nfa in _automata_for(strategy, n, sorted(g.terminals)):
+    for ident, nfa in automata:
         if tested == budget:
             truncated = True
             break
@@ -415,11 +419,76 @@ def measure_rho_without_floor(g: CNFGrammar, n: int, strategy) -> RhoEstimate:
         witness_word=best[0][1] if best else None,
         witness_id=best[0][2] if best else None,
         tested_count=tested,
-        exhaustive=isinstance(strategy, Exhaustive) and not truncated,
+        exhaustive=exhaustive and not truncated,
     )
     if truncated:
         raise BudgetExceededError("budget of %d automata exceeded" % budget, estimate)
     return estimate
+
+
+def canonical_sets_by_scan(m: int, alphabet):
+    """Reference for ``measure._canonical_sets`` at size m: every raw
+    transition set in increasing order of its bits (bit b the b-th cell
+    (state, letter, state) in sorted order), kept when no state permutation
+    sorts its list of cell indices lower.  Yields (bits, transitions, pairs),
+    pairs the (initial, accepting) tuples of state indices, in order, that
+    no permutation mapping the set to itself sorts lower."""
+    letters = tuple(sorted(alphabet))
+    states = tuple("q%d" % i for i in range(m))
+    cells = [(s, ai, t) for s in range(m) for ai in range(len(letters)) for t in range(m)]
+    rank = {cell: b for b, cell in enumerate(cells)}
+    state_sets = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
+    # every permutation but the identity, which comes first
+    images = [
+        (
+            [rank[(perm[s], ai, perm[t])] for s, ai, t in cells],
+            {c: tuple(sorted(perm[s] for s in c)) for c in state_sets},
+        )
+        for perm in list(itertools.permutations(range(m)))[1:]
+    ]
+    for bits in range(1 << len(cells)):
+        present = [b for b in range(len(cells)) if bits & (1 << b)]
+        automorphisms = []
+        for cell_image, image in images:
+            relabeled = sorted(cell_image[b] for b in present)
+            if relabeled < present:
+                break
+            if relabeled == present:
+                automorphisms.append(image)
+        else:
+            pairs = [
+                (initial, accepting)
+                for initial in state_sets
+                for accepting in state_sets
+                if all(
+                    (image[initial], image[accepting]) >= (initial, accepting)
+                    for image in automorphisms
+                )
+            ]
+            transitions = frozenset(
+                (states[s], letters[ai], states[t]) for s, ai, t in (cells[b] for b in present)
+            )
+            yield bits, transitions, pairs
+
+
+def automata_by_scan(max_states: int, alphabet):
+    """Reference for ``measure.enumerate_nfas``: the (id, NFA) of every
+    canonical pair of every set of ``canonical_sets_by_scan``, in order."""
+    letters = frozenset(alphabet)
+    for m in range(1, max_states + 1):
+        states = tuple("q%d" % i for i in range(m))
+        for bits, transitions, pairs in canonical_sets_by_scan(m, alphabet):
+            for initial, accepting in pairs:
+                ident = "enum_m%d_t%x_i%s_f%s" % (
+                    m, bits, "".join(map(str, initial)), "".join(map(str, accepting))
+                )
+                yield ident, NFA(
+                    frozenset(states),
+                    letters,
+                    transitions,
+                    frozenset(states[s] for s in initial),
+                    frozenset(states[s] for s in accepting),
+                )
 
 
 def _encode(

@@ -373,6 +373,41 @@ def test_bounds_negative_n_min_is_a_usage_error(capsys):
     assert (code, out, err) == (0, "n,bound\n0,1\n1,1\n2,1\n", "")
 
 
+def test_bounds_negative_constant_is_an_error_before_the_header(capsys):
+    # it used to print negative "upper bounds": 1,-2 and 2,-8
+    code, out, err = run_cli(capsys, "bounds", "--family", "linear", "--constant", "-2",
+                             "--n-max", "2")
+    assert (code, out, err) == (1, "", "error: the constant must be nonnegative, got -2\n")
+    code, out, err = run_cli(capsys, "bounds", "--family", "linear", "--constant", "0",
+                             "--n-max", "1")
+    assert (code, out, err) == (0, "n,bound\n1,0\n", "")
+
+
+def test_bounds_n_max_below_n_min_is_a_usage_error(capsys):
+    # it used to print a bare header and exit 0
+    code, out, err = run_cli(capsys, "bounds", "--family", "linear", "--n-min", "5",
+                             "--n-max", "2")
+    assert (code, out, err) == (2, "", "--n-max must be at least --n-min (5), got 2\n")
+    code, out, err = run_cli(capsys, "bounds", "--family", "linear", "--n-min", "2",
+                             "--n-max", "2")
+    assert (code, out, err) == (0, "n,bound\n2,4\n", "")
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "1"])
+def test_selftest_osc_cap_below_two_is_a_usage_error(capsys, cap):
+    # it used to report the brute-force check as passed after comparing no
+    # word (-1) or only the empty word (0, 1)
+    code, out, err = run_cli(capsys, "selftest", "--osc-cap", cap)
+    assert (code, out, err) == (2, "", "--osc-cap must be at least 2, got %s\n" % cap)
+
+
+def test_selftest_smallest_osc_cap(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--osc-cap", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "ok - oscillation agrees with brute force"
+    assert out.splitlines()[-1] == "0 failure(s)"
+
+
 def test_measure_rho_exhaustive_rows(capsys, anbn_file):
     argv = ["measure-rho", "--grammar", anbn_file, "--strategy", "exhaustive",
             "--n-min", "1", "--n-max", "2"]
@@ -391,6 +426,14 @@ def test_measure_rho_exhaustive_rows(capsys, anbn_file):
         "1,2,true,ab,enum_m1_t3_i0_f0",
         "2,2,false,ab,enum_m1_t3_i0_f0",
     ]
+
+
+def test_measure_rho_budget_inside_a_transition_set(capsys, anbn_file):
+    # 1,190 ends inside the set q0 -a-> q0 at n=3, after 13 of its 29 automata
+    code, out, err = run_cli(capsys, "measure-rho", "--grammar", anbn_file, "--strategy",
+                             "exhaustive", "--n-min", "3", "--n-max", "3", "--budget", "1190")
+    assert (code, err) == (0, "warning: enumeration budget of 1190 automata exceeded at n=3\n")
+    assert out.splitlines()[1:] == ["3,4,false,aabb,enum_m2_t16_i0_f0"]
 
 
 def test_datalog_eval(capsys, tmp_path):

@@ -33,6 +33,7 @@ from ratindex.measure import (
     RandomSample,
     TwoCycle,
     _automata_for,
+    _canonical_sets,
     _evaluate_automaton,
     enumerate_nfas,
     fit_growth,
@@ -43,6 +44,8 @@ from ratindex.sampling import random_cnf_grammar, random_nfa
 
 from oracles import (
     UP_DOWN_FLAT,
+    automata_by_scan,
+    canonical_sets_by_scan,
     enumerate_nfas_bruteforce,
     is_start,
     measure_rho_without_floor,
@@ -274,6 +277,37 @@ def test_enumeration_matches_the_bruteforce_oracle(max_states, alphabet, limit):
     assert found == expected
 
 
+def state_indices(states):
+    return tuple(sorted(int(name[1:]) for name in states))
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab"])
+def test_orderly_generation_lists_the_scans_sets_in_its_order(alphabet):
+    scan = ((m, *found) for m in (1, 2, 3) for found in canonical_sets_by_scan(m, alphabet))
+    as_indices = {}  # a set's pairs as the scan lists them, per distinct pairs
+    automata = 0
+    for (states, bits, transitions, pairs), expected in zip(
+        _canonical_sets(3, alphabet), scan, strict=True
+    ):
+        if pairs not in as_indices:
+            as_indices[pairs] = [(state_indices(i), state_indices(f)) for i, f, _ in pairs]
+            assert [suffix for *_, suffix in pairs] == [
+                "%s_f%s" % ("".join(map(str, i)), "".join(map(str, f)))
+                for i, f in as_indices[pairs]
+            ]
+        assert (len(states), bits, transitions, as_indices[pairs]) == expected
+        automata += len(pairs)
+    assert automata == (4404 if alphabet == "a" else 2146636)
+
+
+def test_the_scan_expands_into_the_bruteforce_enumeration():
+    found = [
+        (ident, nfa.transitions, nfa.initial, nfa.accepting)
+        for ident, nfa in automata_by_scan(2, "ab")
+    ]
+    assert found == list(enumerate_nfas_bruteforce(2, "ab"))
+
+
 def evaluate_words(g, nfa):
     """``_evaluate_automaton`` with its word code decoded."""
     result = _evaluate_automaton(g, nfa)
@@ -410,6 +444,23 @@ def test_sweeps_skip_transition_sets_below_the_floor(monkeypatch, text, evaluate
     assert len(calls) == evaluated
 
 
+def test_exhaustive_sweep_builds_fields_only_for_evaluated_automata(monkeypatch):
+    built = []
+
+    class CountingCandidate(ratindex.measure._Candidate):
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    g = to_cnf(parse_grammar("S -> a S b | a b\n"))
+    expected = measure_rho(g, 2, Exhaustive())
+    monkeypatch.setattr(ratindex.measure, "_Candidate", CountingCandidate)
+    estimate = measure_rho(g, 2, Exhaustive())
+    # the 230 evaluated automata, not all 1,164: skipped sets build none
+    assert len(built) == 230 and estimate.tested_count == 1164
+    assert dataclasses.astuple(estimate) == dataclasses.astuple(expected)
+
+
 @pytest.mark.parametrize(
     "text, n, strategy",
     [
@@ -460,6 +511,31 @@ def test_sweeps_match_the_floor_free_reduction(text, n, strategy):
     g = to_cnf(parse_grammar(text))
     found = sweep_outcome(measure_rho, g, n, strategy)
     assert found == sweep_outcome(measure_rho_without_floor, g, n, strategy)
+
+
+@pytest.mark.parametrize("text", ["S -> a S b | a b\n", "S -> S up S | down |\n"])
+@pytest.mark.parametrize(
+    "n, strategy",
+    [
+        (3, Exhaustive(budget=0)),
+        (3, Exhaustive(budget=1)),
+        # m=3's empty transition set ends at 1,177 automata, a set boundary
+        (3, Exhaustive(budget=1177)),
+        # inside the next set, q0 to q0 on the first letter, which q1 <-> q2
+        # maps to itself: 13 of its 29 canonical pairs
+        (3, Exhaustive(budget=1190)),
+        (3, Exhaustive(budget=3000)),
+        (2, Exhaustive()),
+    ],
+)
+def test_budgeted_sweeps_match_the_scan_reduction(text, n, strategy):
+    g = to_cnf(parse_grammar(text))
+    found = sweep_outcome(measure_rho, g, n, strategy)
+    assert found == sweep_outcome(measure_rho_without_floor, g, n, strategy)
+    if strategy.budget <= 3000:
+        assert found[1].tested_count == strategy.budget and not found[1].exhaustive
+    else:
+        assert found.tested_count == 1164 and found.exhaustive
 
 
 def test_random_grammar_sweeps_match_the_floor_free_reduction(rng):
