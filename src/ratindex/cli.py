@@ -162,6 +162,7 @@ def _two_cycle_pairs(text: str) -> list[tuple[int, int]] | None:
 def cmd_measure_rho(args) -> int:
     from .measure import (
         BudgetExceededError,
+        DegenerateInputError,
         Exhaustive,
         RandomSample,
         TwoCycle,
@@ -228,8 +229,11 @@ def cmd_measure_rho(args) -> int:
         )
         if est.value:
             points.append((est.n, est.value))
-    if args.fit and len(points) >= 4:
-        print("# loglog_slope=%.4f" % fit_growth(points), file=sys.stderr)
+    if args.fit:
+        try:
+            print("# loglog_slope=%.4f" % fit_growth(points), file=sys.stderr)
+        except DegenerateInputError as err:
+            print("# loglog_slope: %s" % err, file=sys.stderr)
     return 0
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import RatIndexError
-from .intersection import ProductClosure, derivation_tree, realized_rows
+from .intersection import derivation_tree, realized_rows
 from .trees import EPSILON, ParseTree
 
 
@@ -588,29 +588,36 @@ def cyk_membership(g: CNFGrammar, word: Sequence[str]) -> bool:
 def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
     """Return one parse tree of the word, or None when it is not derivable.
 
-    Tie-breaking is deterministic: lower production ids and smaller split
-    points win.  This is the canonical rule of the product closure: on the
-    word's chain every derivation of (A, i, j) spells w[i:j], so words never
-    decide.
+    The facts are ``realized_rows`` over the word's chain, as in
+    ``cyk_membership``; no length is settled, since on a chain a fact
+    (A, i, j) derives words of length j - i only.  A node (A, i, j) takes
+    its first rule A -> B C in production order that has a split point k
+    with (B, i, k) and (C, k, j) realized, and the least such k: lower
+    production ids win, then smaller split points, as in the product
+    closure's canonical rule.
     """
     w = _check_word(g, word)
     if not w:
         if g.epsilon_at_start:
             return ParseTree(g.start, (ParseTree(EPSILON),))
         return None
-    product = ProductClosure(g, [(p, a, p + 1) for p, a in enumerate(w)])
-    root = (g.start, 0, len(w))
-    if root not in product.lengths:
+    rows = realized_rows(g, [(p, a, p + 1) for p, a in enumerate(w)])
+    if len(w) not in rows[g.start].get(0, ()):
         return None
+    rules = g.by_lhs()
 
     def parts(triple: tuple[str, int, int]) -> tuple:
-        _, i, j = triple
+        head, i, j = triple
         if j == i + 1:
             return (w[i],)
-        _pid, left, right = min(product.splits(triple))
-        return left, right
+        for _pid, (_, body) in rules[head]:
+            if len(body) == 2:
+                left, right = rows[body[0]].get(i, ()), rows[body[1]]
+                k = min((m for m in left if m < j and j in right.get(m, ())), default=None)
+                if k is not None:
+                    return (body[0], i, k), (body[1], k, j)
 
-    return derivation_tree(root, parts)
+    return derivation_tree((g.start, 0, len(w)), parts)
 
 
 def is_valid_parse_tree(g: Grammar, tree: ParseTree, require_start: bool = False) -> bool:

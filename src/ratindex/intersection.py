@@ -4,9 +4,9 @@ The product grammar has nonterminals (A, i, j) meaning "A derives the label
 word of some path from i to j".  Two engines find its realizable triples.
 ``ProductClosure`` settles the exact shortest yield length of every
 realizable triple and resolves canonical witnesses on demand: shortest
-words, rational-index sweeps, ``all_pairs_reach`` with its witnesses and
-``cyk_parse`` read it.  ``realized_rows`` finds the same triples without
-lengths: chain Datalog, ``cyk_membership`` and ``reach_pairs`` read it, as
+words, rational-index sweeps and ``all_pairs_reach`` with its witnesses read
+it.  ``realized_rows`` finds the same triples without lengths: chain
+Datalog, ``cyk_membership``, ``cyk_parse`` and ``reach_pairs`` read it, as
 they ask only which triples are realizable.
 """
 
@@ -140,7 +140,7 @@ class ProductClosure:
     parts, so triples are settled bucket by bucket in increasing length
     (Knuth's generalisation of Dijkstra's algorithm) and a bucket is
     complete when it is reached.  Nodes may be any hashable, ordered
-    values; CYK uses word positions.
+    values.
 
     A settled triple (B, i, k) joins, for a rule A -> B C, with every
     realized partner (C, k, j) in ``by_source[C][k]``; each partner is a
@@ -397,37 +397,29 @@ class ProductClosure:
 
     def code(self, triple: Triple) -> str:
         """The code of the canonical word of a realizable triple, memoized.
-        A code not memoized yet is the character of an edge, the
-        concatenation of its parts' codes when both are memoized, or else
-        one walk over ``steps`` that copies the memoized codes of the
-        triples it meets.  Only the code asked for is memoized."""
+        A code not memoized yet is spelled by one walk over ``steps`` from
+        the triple itself, which copies the memoized codes of the triples it
+        meets.  Only the code asked for is memoized."""
         codes = self._codes
         code = codes.get(triple)
         if code is not None:
             return code
         self._resolve_below(triple)
         steps, chars, productions = self.steps, self._chars, self._productions
-        pid, left, right = steps[triple]
-        if left is None:
-            code = chars[productions[pid].rhs[0]]
-        elif left in codes and right in codes:
-            code = codes[left] + codes[right]
-        else:
-            parts = []
-            stack = [right, left]
-            while stack:
-                t = stack.pop()
-                known = codes.get(t)
-                if known is not None:
-                    parts.append(known)
-                    continue
-                pid, left, right = steps[t]
-                if left is None:
-                    parts.append(chars[productions[pid].rhs[0]])
-                else:
-                    stack += (right, left)
-            code = "".join(parts)
-        codes[triple] = code
+        parts = []
+        stack = [triple]
+        while stack:
+            t = stack.pop()
+            known = codes.get(t)
+            if known is not None:
+                parts.append(known)
+                continue
+            pid, left, right = steps[t]
+            if left is None:
+                parts.append(chars[productions[pid].rhs[0]])
+            else:
+                stack += (right, left)
+        code = codes[triple] = "".join(parts)
         return code
 
     def path_and_word(self, triple: Triple) -> tuple[tuple, tuple[str, ...]]:

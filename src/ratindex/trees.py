@@ -54,15 +54,8 @@ class ParseTree:
 
     def yield_word(self) -> tuple[str, ...]:
         """Left-to-right terminal leaves; EPSILON leaves contribute nothing."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(reversed(node.children))
-            elif node.label != EPSILON:
-                out.append(node.label)
-        return tuple(out)
+        nodes = self.iter_nodes()
+        return tuple(n.label for n in nodes if not n.children and n.label != EPSILON)
 
     # Equality, hashing and printing walk the tree with explicit stacks, so
     # that trees as tall as their words (CYK on a^n b^n) are handled.

@@ -17,9 +17,11 @@ from ratindex.intersection import (
     ProductClosure,
     UnrealizableTripleError,
     bar_hillel,
+    derivation_tree,
     shortest_words,
 )
 from ratindex.measure import BudgetExceededError, Exhaustive, RhoEstimate, _automata_for
+from ratindex.trees import EPSILON, ParseTree
 from ratindex.wellnested import PUSH, UnbalancedWordError, WellNestedWord
 
 
@@ -298,6 +300,29 @@ def resolve_by_tuple_words(g: CNFGrammar, transitions, closure) -> dict:
         tied += len(candidates) > 1 and candidates[1][0] == word
         entries[triple] = (word, pid, left, right)
     return entries, tied
+
+
+def cyk_parse_by_closure(g: CNFGrammar, word):
+    """Reference for ``cyk_parse``: the parse tree read from a full
+    ``ProductClosure`` over the word's chain automaton, each node taking
+    its least split (production id, then split position), or None when
+    the grammar does not derive the word."""
+    w = tuple(word)
+    if not w:
+        return ParseTree(g.start, (ParseTree(EPSILON),)) if g.epsilon_at_start else None
+    product = ProductClosure(g, [(p, a, p + 1) for p, a in enumerate(w)])
+    root = (g.start, 0, len(w))
+    if root not in product.lengths:
+        return None
+
+    def parts(triple):
+        _, i, j = triple
+        if j == i + 1:
+            return (w[i],)
+        _pid, left, right = min(product.splits(triple))
+        return left, right
+
+    return derivation_tree(root, parts)
 
 
 def splits_by_node_scan(g: CNFGrammar, lengths, nodes, triple) -> list:

@@ -312,6 +312,35 @@ def test_measure_rho_fit_slope(capsys, anbn_file):
     assert err == "# loglog_slope=2.0262\n"
 
 
+def test_measure_rho_fit_with_too_few_sizes_says_why(capsys, anbn_file):
+    code, out, err = run_cli(
+        capsys, "measure-rho", "--grammar", anbn_file, "--strategy", "random",
+        "--n-min", "2", "--n-max", "3", "--count", "20", "--fit",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "n,value,exhaustive,witness_word,automaton_id",
+        "2,2,false,ab,random_s0_12",
+        "3,2,false,ab,random_s0_10",
+    ]
+    assert err == "# loglog_slope: need at least four points, got 2\n"
+
+
+def test_measure_rho_fit_with_one_size_says_why(capsys, anbn_file):
+    code, out, err = run_cli(
+        capsys, "measure-rho", "--grammar", anbn_file, "--strategy", "two-cycle",
+        "--pairs", "2:5,3:4,1:6,4:3", "--fit",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "7,20,false,%s,two_cycle_2_5" % ("a" * 10 + "b" * 10),
+        "7,24,false,%s,two_cycle_3_4" % ("a" * 12 + "b" * 12),
+        "7,12,false,%s,two_cycle_1_6" % ("a" * 6 + "b" * 6),
+        "7,24,false,%s,two_cycle_4_3" % ("a" * 12 + "b" * 12),
+    ]
+    assert err == "# loglog_slope: all sizes are equal; slope is undefined\n"
+
+
 def test_measure_rho_deterministic_across_workers(capsys, anbn_file):
     argv = [
         "measure-rho",

@@ -22,10 +22,10 @@ from ratindex.grammar import (
     parse_word,
     to_cnf,
 )
-from ratindex.sampling import random_grammar
+from ratindex.sampling import random_cnf_grammar, random_grammar, random_parse_tree
 from ratindex.trees import EPSILON
 
-from oracles import derivable_words, derives
+from oracles import cyk_parse_by_closure, derivable_words, derives
 
 
 def test_parse_basic(anbn):
@@ -200,6 +200,33 @@ def test_cyk_parse_epsilon():
     assert tree is not None
     assert tree.children[0].label == EPSILON
     assert tree.yield_word() == ()
+
+
+def test_cyk_parse_matches_the_closure_parse_on_random_grammars():
+    # Each grammar is asked about random words over its terminals, most of
+    # them outside the language, and about the yields of random parse
+    # trees, all inside it.
+    rng = random.Random(22)
+    found = {True: 0, False: 0}
+    with_epsilon = 0
+    for k in range(40):
+        g = random_cnf_grammar(
+            rng, max_nonterminals=4, max_terminals=2, epsilon_weight=0.3 if k % 2 else 0.05
+        )
+        with_epsilon += g.epsilon_at_start
+        alphabet = sorted(g.terminals)
+        words = [tuple(rng.choices(alphabet, k=rng.randint(0, 9))) for _ in range(8)]
+        trees = (random_parse_tree(g, rng, max_depth=7) for _ in range(8))
+        words += [tree.yield_word() for tree in trees if tree is not None]
+        for word in words:
+            tree = cyk_parse(g, word)
+            assert tree == cyk_parse_by_closure(g, word), (g, word)
+            if tree is not None:
+                assert tree.yield_word() == word
+                assert is_valid_parse_tree(g, tree, require_start=True)
+            found[tree is not None] += 1
+    assert found[True] >= 250 and found[False] >= 200 and sum(found.values()) >= 500
+    assert with_epsilon >= 5
 
 
 def test_cnf_agreement_on_random_grammars(rng):

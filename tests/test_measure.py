@@ -168,6 +168,12 @@ def test_exhaustive_guard(anbn_cnf):
         measure_rho(anbn_cnf, 4, Exhaustive())
 
 
+def test_two_cycle_larger_than_n_is_rejected(anbn_cnf):
+    with pytest.raises(ValueError, match="^two-cycle automaton has 5 states, n is 4$"):
+        measure_rho(anbn_cnf, 4, TwoCycle(2, 3))
+    assert measure_rho(anbn_cnf, 5, TwoCycle(2, 3)).value == 12
+
+
 def test_exhaustive_budget_error():
     cnf = to_cnf(parse_grammar("S -> a S | a\n"))
     with pytest.raises(BudgetExceededError) as err:
