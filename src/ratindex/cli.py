@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .datalog import evaluate as datalog_evaluate
 from .datalog import parse_chain_program
 from .errors import RatIndexError
 from .grammar import (
@@ -23,18 +21,10 @@ from .grammar import (
     to_cnf,
 )
 from .graphs import parse_graph, parse_nfa
-from .intersection import (
-    ProductClosure,
-    bar_hillel,
-    extract_witness,
-    shortest_start,
-    shortest_words,
-)
-from .reachability import reach_pairs
-from .trees import dimension
 
-# The sweep, classification, bound and oscillation modules are imported by
-# the commands that run them, so that the other commands do not load them.
+# The product engine (``intersection``, ``reachability``) and the sweep,
+# classification, bound and oscillation modules are imported by the
+# commands that run them, so that the other commands do not load them.
 
 
 def _read(path: str) -> str:
@@ -65,6 +55,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    from .intersection import ProductClosure, bar_hillel
+
     g = to_cnf(_load_grammar(args.grammar))
     product = bar_hillel(g, _load_automaton(args))
     lengths = ProductClosure(g, product.automaton.transitions).lengths
@@ -74,6 +66,8 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_shortest(args) -> int:
+    from .intersection import bar_hillel, extract_witness, shortest_start, shortest_words
+
     g = to_cnf(_load_grammar(args.grammar))
     product = bar_hillel(g, _load_automaton(args))
     table = shortest_words(product)
@@ -90,6 +84,8 @@ def cmd_shortest(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    from .reachability import reach_pairs
+
     g = to_cnf(_load_grammar(args.grammar))
     graph = parse_graph(_read(args.graph))
     for i, j in sorted(reach_pairs(g, graph)):
@@ -102,6 +98,7 @@ def cmd_reach(args) -> int:
 
 
 def cmd_tree_metrics(args) -> int:
+    from .trees import dimension
     from .wellnested import alpha_of_tree, oscillation
 
     g = to_cnf(_load_grammar(args.grammar))
@@ -126,6 +123,9 @@ def _parse_partition(text: str) -> list[set[str]]:
 def cmd_classify(args) -> int:
     from .classify import classify_grammar
 
+    if args.samples < 0:
+        print("--samples must be nonnegative, got %d" % args.samples, file=sys.stderr)
+        return 2
     g = _load_grammar(args.grammar)
     partition = _parse_partition(args.partition) if args.partition else None
     report = classify_grammar(
@@ -256,9 +256,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_datalog_eval(args) -> int:
+    from .datalog import evaluate
+
     program = parse_chain_program(_read(args.program))
     graph = parse_graph(_read(args.graph))
-    for i, j in sorted(datalog_evaluate(program, graph)):
+    for i, j in sorted(evaluate(program, graph)):
         print("%s\t%s" % (i, j))
     return 0
 
@@ -266,6 +268,9 @@ def cmd_datalog_eval(args) -> int:
 def cmd_selftest(args) -> int:
     import random
 
+    from .datalog import evaluate
+    from .intersection import bar_hillel, shortest_start, shortest_words
+    from .trees import dimension
     from .wellnested import (
         DEFAULT_BRUTE_CAP,
         WellNestedWord,
@@ -325,7 +330,7 @@ def cmd_selftest(args) -> int:
     )
     check(
         "descendant query",
-        datalog_evaluate(program, graph)
+        evaluate(program, graph)
         == frozenset({("1", "2"), ("1", "3"), ("2", "3")}),
     )
 
@@ -454,8 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("RATINDEX_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("RATINDEX_LOG")
+    if level is not None:
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,13 +3,13 @@ context-free reachability queries on graph databases."""
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 from .errors import RatIndexError
-from .grammar import EmptyLanguageError, Grammar, Production, to_cnf
+from .grammar import CNFGrammar, EmptyLanguageError, Grammar, Production, to_cnf
 from .graphs import LabeledGraph
-from .reachability import reach_pairs
 
 
 class DatalogError(RatIndexError):
@@ -62,6 +62,16 @@ class ChainProgram:
     idb: frozenset[str]
     edb: frozenset[str]
     edge_predicates: frozenset[str]
+
+    @functools.cached_property
+    def cnf(self) -> CNFGrammar | None:
+        """The CNF of ``chain_to_cfg(self)``, or None when it derives
+        nothing.  Computed once per program; a ``NameCollisionError`` is
+        not cached, so every read raises it again."""
+        try:
+            return to_cnf(chain_to_cfg(self))
+        except EmptyLanguageError:
+            return None
 
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*")
@@ -216,17 +226,17 @@ def evaluate(program: ChainProgram, graph: LabeledGraph) -> frozenset[tuple[str,
 
     Equivalent to the bottom-up fixpoint of the program; computed as the
     start pairs of all-pairs reachability for the program's grammar
-    (``reach_pairs``).  A program whose grammar derives nothing yields no
-    facts.
+    (``reach_pairs``) in the CNF that ``ChainProgram.cnf`` keeps.  A
+    program whose grammar derives nothing yields no facts.
     """
+    from .reachability import reach_pairs
+
     missing = program.edb - graph.alphabet
     if missing:
         raise UnknownEdbLabelError(
             "edge labels missing from the graph: %s" % sorted(missing)
         )
-    grammar = chain_to_cfg(program)
-    try:
-        cnf = to_cnf(grammar)
-    except EmptyLanguageError:
+    cnf = program.cnf
+    if cnf is None:
         return frozenset()
     return reach_pairs(cnf, graph)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import RatIndexError
-from .intersection import derivation_tree, realized_rows
 from .trees import EPSILON, ParseTree
 
 
@@ -578,6 +577,8 @@ def cyk_membership(g: CNFGrammar, word: Sequence[str]) -> bool:
     automaton, whose states are the positions 0..|w|, with ``realized_rows``,
     so the cost follows the facts rather than |w|^3.
     """
+    from .intersection import realized_rows
+
     w = _check_word(g, word)
     if not w:
         return g.epsilon_at_start
@@ -596,6 +597,8 @@ def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
     production ids win, then smaller split points, as in the product
     closure's canonical rule.
     """
+    from .intersection import derivation_tree, realized_rows
+
     w = _check_word(g, word)
     if not w:
         if g.epsilon_at_start:

@@ -181,6 +181,17 @@ def test_classify_output(capsys, tmp_path):
     assert lines["expansive"] == "-"
 
 
+def test_classify_negative_samples_is_a_usage_error(capsys, anbn_file, tmp_path):
+    # it used to print a full report with sampled_trees: 0 and exit 0; the
+    # grammar named here does not exist, so the check runs before reading it
+    missing = str(tmp_path / "missing.cfg")
+    code, out, err = run_cli(capsys, "classify", "--grammar", missing, "--samples", "-1")
+    assert (code, out, err) == (2, "", "--samples must be nonnegative, got -1\n")
+    code, out, err = run_cli(capsys, "classify", "--grammar", anbn_file, "--samples", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "sampled_trees: 0"
+
+
 def test_measure_rho_two_cycle_csv(capsys, anbn_file):
     code, out, _ = run_cli(
         capsys,

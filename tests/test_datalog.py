@@ -1,5 +1,6 @@
 import pytest
 
+from ratindex import datalog
 from ratindex.classify import is_linear
 from ratindex.datalog import (
     DatalogSyntaxError,
@@ -11,7 +12,7 @@ from ratindex.datalog import (
     evaluate,
     parse_chain_program,
 )
-from ratindex.grammar import Production
+from ratindex.grammar import Production, to_cnf
 from ratindex.graphs import LabeledGraph
 from ratindex.sampling import random_graph
 
@@ -114,6 +115,38 @@ def test_evaluate_unproductive_program(child_path_graph):
     # the only rule is self-recursive, so the fixpoint is empty
     program = parse_chain_program("P(x, y) :- Child(x, z), P(z, y).")
     assert evaluate(program, child_path_graph) == frozenset()
+
+
+def test_evaluate_converts_a_program_to_cnf_once(monkeypatch, child_path_graph):
+    calls = []
+
+    def counting_to_cnf(grammar):
+        calls.append(grammar)
+        return to_cnf(grammar)
+
+    monkeypatch.setattr(datalog, "to_cnf", counting_to_cnf)
+    program = parse_chain_program(EXAMPLE_PROGRAM)
+    cycle = LabeledGraph.from_edges([("a", "child", "b"), ("b", "child", "a")])
+    graphs = [child_path_graph, cycle]
+    answers = [evaluate(program, graph) for graph in graphs]
+    assert len(calls) == 1
+    assert answers == [evaluate(parse_chain_program(EXAMPLE_PROGRAM), graph) for graph in graphs]
+    assert len(calls) == 3
+    # an empty language is kept too
+    empty = parse_chain_program("P(x, y) :- Child(x, z), P(z, y).")
+    assert [evaluate(empty, graph) for graph in graphs] == [frozenset(), frozenset()]
+    assert len(calls) == 4
+
+
+def test_evaluate_raises_its_input_errors_on_every_call(child_path_graph):
+    # the missing labels are checked first, and a name collision is not cached
+    colliding = parse_chain_program("child(x, y) :- Child(x, y).\n?- child\n")
+    for _ in range(2):
+        with pytest.raises(NameCollisionError):
+            evaluate(colliding, child_path_graph)
+    unknown = LabeledGraph.from_edges([("1", "parent", "2")])
+    with pytest.raises(UnknownEdbLabelError):
+        evaluate(colliding, unknown)
 
 
 def test_evaluate_matches_naive_fixpoint(rng):

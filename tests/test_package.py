@@ -1,4 +1,5 @@
 import importlib
+import os
 import subprocess
 import sys
 
@@ -142,3 +143,53 @@ def test_queries_load_no_sweep_module():
     assert not {"ratindex." + m for m in sweep_modules} & loaded
     assert "statistics" not in loaded
     assert "ratindex.reachability" in loaded
+
+
+PRODUCT_ENGINE = {"ratindex.intersection", "ratindex.reachability"}
+
+
+def test_parsing_loads_no_product_engine():
+    # the product engine loads when a query runs, not when its inputs parse
+    loaded = _modules_after(
+        "import ratindex\n"
+        "g = ratindex.to_cnf(ratindex.parse_grammar('S -> a S b | a b'))\n"
+        "ratindex.parse_word(g, 'aabb')\n"
+        "ratindex.parse_graph('1 a 2\\n2 b 3\\n')\n"
+        "ratindex.parse_nfa('initial: 1\\naccepting: 3\\n1 a 2\\n2 b 3\\n')\n"
+        "ratindex.parse_chain_program('P(x, y) :- E(x, y).')"
+    )
+    assert not PRODUCT_ENGINE & loaded
+    assert "ratindex.grammar" in loaded and "ratindex.datalog" in loaded
+
+
+def test_cnf_bounds_and_classify_load_no_product_engine_or_logging(tmp_path):
+    grammar = tmp_path / "anbn.cfg"
+    grammar.write_text("S -> a S b | a b\n")
+    runs = [
+        ["cnf", "--grammar", str(grammar)],
+        ["bounds", "--family", "linear", "--n-max", "2"],
+        ["classify", "--grammar", str(grammar), "--samples", "5"],
+    ]
+    loaded = _modules_after(
+        "import contextlib, io, os\n"
+        "os.environ.pop('RATINDEX_LOG', None)\n"
+        "from ratindex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in %r]\n"
+        "assert codes == [0, 0, 0], codes" % (runs,)
+    )
+    assert not (PRODUCT_ENGINE | {"logging"}) & loaded
+    assert "ratindex.classify" in loaded and "ratindex.bounds" in loaded
+
+
+def test_ratindex_log_still_shows_the_sweep_diagnostics(tmp_path):
+    grammar = tmp_path / "anbn.cfg"
+    grammar.write_text("S -> a S b | a b\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratindex", "measure-rho", "--grammar", str(grammar),
+         "--strategy", "exhaustive", "--n-min", "1"],
+        capture_output=True, text=True, env={**os.environ, "RATINDEX_LOG": "DEBUG"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1,2,true,ab,enum_m1_t3_i0_f0"
+    assert proc.stderr.startswith("DEBUG:ratindex.measure:measure_rho n=1 tested=")
