@@ -130,6 +130,8 @@ def verify_ultralinear(
         raise MalformedPartitionError("partition misses nonterminals: %s" % sorted(missing))
     if not classes:
         raise MalformedPartitionError("partition must have at least one class")
+    if frozenset() in classes:
+        raise MalformedPartitionError("partition level %d is empty" % classes.index(frozenset()))
 
     top = len(classes) - 1
 
@@ -237,7 +239,6 @@ def classify_grammar(
     g: Grammar,
     partition: Sequence[set[str]] | None = None,
     samples: int = 200,
-    max_depth: int = 12,
     seed: int = 0,
 ) -> ClassificationReport:
     """Run every classifier and sample parse trees for an observed-dimension
@@ -253,7 +254,7 @@ def classify_grammar(
     max_dim = 0
     drawn = 0
     for _ in range(samples):
-        tree = random_parse_tree(reduced, rng, max_depth=max_depth)
+        tree = random_parse_tree(reduced, rng)
         if tree is None:
             continue
         drawn += 1

@@ -36,7 +36,7 @@ def _load_grammar(path: str):
 
 
 def _load_automaton(args):
-    if getattr(args, "nfa", None):
+    if args.nfa:
         return parse_nfa(_read(args.nfa))
     return parse_graph(_read(args.graph))
 
@@ -201,16 +201,14 @@ def cmd_measure_rho(args) -> int:
         guard_exhaustive_alphabet(g.terminals)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "value", "exhaustive", "witness_word", "automaton_id"])
-    runs: list[tuple[int, object]] = []
     if two_cycle:
         runs = [(p + q, TwoCycle(p, q)) for p, q in pairs]
     else:
-        n_values = range(args.n_min, args.n_max + 1) if args.n_max else [args.n_min]
-        for n in n_values:
-            if args.strategy == "exhaustive":
-                runs.append((n, Exhaustive(budget=args.budget, guard_n=args.cap_exhaustive_n)))
-            else:
-                runs.append((n, RandomSample(args.count, args.seed, args.density)))
+        if args.strategy == "exhaustive":
+            strategy = Exhaustive(budget=args.budget, guard_n=args.cap_exhaustive_n)
+        else:
+            strategy = RandomSample(args.count, args.seed, args.density)
+        runs = [(n, strategy) for n in range(args.n_min, (args.n_max or args.n_min) + 1)]
     points = []
     for n, strategy in runs:
         try:
@@ -366,57 +364,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cnf", help="convert a grammar to Chomsky normal form")
-    p.add_argument("--grammar", required=True)
-    p.set_defaults(func=cmd_cnf)
+    def command(name, func, help, *required, automaton=False):
+        """Add the subcommand ``name`` that runs ``func``, with the options
+        ``required`` in order and then, given ``automaton``, one of --graph
+        or --nfa."""
+        p = sub.add_parser(name, help=help)
+        for option in required:
+            p.add_argument(option, required=True)
+        if automaton:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--graph")
+            group.add_argument("--nfa")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("member", help="CYK membership test")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("intersect", help="realizable product triples with lengths")
-    p.add_argument("--grammar", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph")
-    group.add_argument("--nfa")
-    p.set_defaults(func=cmd_intersect)
-
-    p = sub.add_parser("shortest", help="shortest word in the intersection")
-    p.add_argument("--grammar", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph")
-    group.add_argument("--nfa")
+    command("cnf", cmd_cnf, "convert a grammar to Chomsky normal form", "--grammar")
+    command("member", cmd_member, "CYK membership test", "--grammar", "--word")
+    command("intersect", cmd_intersect, "realizable product triples with lengths", "--grammar",
+            automaton=True)
+    p = command("shortest", cmd_shortest, "shortest word in the intersection", "--grammar",
+                automaton=True)
     p.add_argument("--witness", action="store_true", help="also print a witness path")
-    p.set_defaults(func=cmd_shortest)
 
-    p = sub.add_parser("reach", help="all-pairs CFL-reachability facts")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--graph", required=True)
+    p = command("reach", cmd_reach, "all-pairs CFL-reachability facts", "--grammar", "--graph")
     p.add_argument("--source")
     p.add_argument("--target")
-    p.set_defaults(func=cmd_reach)
 
-    p = sub.add_parser("tree-metrics", help="dimension and oscillation of a parse tree")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_tree_metrics)
+    command("tree-metrics", cmd_tree_metrics, "dimension and oscillation of a parse tree",
+            "--grammar", "--word")
 
-    p = sub.add_parser("classify", help="grammar classification report")
-    p.add_argument("--grammar", required=True)
-    p.add_argument(
-        "--partition",
-        help="levels lowest first, e.g. 'A,B/S' for N0={A,B}, N1={S}",
-    )
+    p = command("classify", cmd_classify, "grammar classification report", "--grammar")
+    p.add_argument("--partition", help="levels lowest first, e.g. 'A,B/S' for N0={A,B}, N1={S}")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("measure-rho", help="empirical rational-index lower bounds")
-    p.add_argument("--grammar", required=True)
-    p.add_argument(
-        "--strategy", choices=["exhaustive", "random", "two-cycle"], required=True
-    )
+    p = command("measure-rho", cmd_measure_rho, "empirical rational-index lower bounds",
+                "--grammar")
+    p.add_argument("--strategy", choices=["exhaustive", "random", "two-cycle"], required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=0)
     p.add_argument("--count", type=int, default=50, help="random strategy: sample size")
@@ -430,9 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--cap-exhaustive-n", type=int, default=3)
     p.add_argument("--fit", action="store_true", help="report the log-log slope")
-    p.set_defaults(func=cmd_measure_rho)
 
-    p = sub.add_parser("bounds", help="evaluate a polynomial bound family")
+    p = command("bounds", cmd_bounds, "evaluate a polynomial bound family")
     p.add_argument(
         "--family",
         choices=["linear", "superlinear", "dimension", "oscillation", "ultralinear"],
@@ -443,17 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", type=int, default=1)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("datalog-eval", help="evaluate a chain Datalog query")
-    p.add_argument("--program", required=True)
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_datalog_eval)
+    command("datalog-eval", cmd_datalog_eval, "evaluate a chain Datalog query", "--program",
+            "--graph")
 
-    p = sub.add_parser("selftest", help="run a quick built-in check suite")
+    p = command("selftest", cmd_selftest, "run a quick built-in check suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--osc-cap", type=int, default=12, dest="osc_cap")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -577,12 +577,12 @@ def cyk_membership(g: CNFGrammar, word: Sequence[str]) -> bool:
     automaton, whose states are the positions 0..|w|, with ``realized_rows``,
     so the cost follows the facts rather than |w|^3.
     """
-    from .intersection import realized_rows
+    from . import intersection
 
     w = _check_word(g, word)
     if not w:
         return g.epsilon_at_start
-    rows = realized_rows(g, [(p, a, p + 1) for p, a in enumerate(w)])
+    rows = intersection.realized_rows(g, [(p, a, p + 1) for p, a in enumerate(w)])
     return len(w) in rows[g.start].get(0, ())
 
 
@@ -597,14 +597,14 @@ def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
     production ids win, then smaller split points, as in the product
     closure's canonical rule.
     """
-    from .intersection import derivation_tree, realized_rows
+    from . import intersection
 
     w = _check_word(g, word)
     if not w:
         if g.epsilon_at_start:
             return ParseTree(g.start, (ParseTree(EPSILON),))
         return None
-    rows = realized_rows(g, [(p, a, p + 1) for p, a in enumerate(w)])
+    rows = intersection.realized_rows(g, [(p, a, p + 1) for p, a in enumerate(w)])
     if len(w) not in rows[g.start].get(0, ()):
         return None
     rules = g.by_lhs()
@@ -620,7 +620,7 @@ def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
                 if k is not None:
                     return (body[0], i, k), (body[1], k, j)
 
-    return derivation_tree((g.start, 0, len(w)), parts)
+    return intersection.derivation_tree((g.start, 0, len(w)), parts)
 
 
 def is_valid_parse_tree(g: Grammar, tree: ParseTree, require_start: bool = False) -> bool:

@@ -1,4 +1,4 @@
-"""Random grammars, graphs, automata, and parse-tree sampling.
+"""Random grammars, automata, and parse-tree sampling.
 
 Everything is driven by an explicit random.Random so runs are reproducible.
 """
@@ -19,7 +19,7 @@ from .grammar import (
     generating_nonterminals,
     to_cnf,
 )
-from .graphs import NFA, Edge, LabeledGraph
+from .graphs import NFA, Edge
 from .trees import EPSILON, ParseTree
 
 
@@ -40,15 +40,13 @@ def min_heights(g: Grammar) -> dict[str, float]:
     return best
 
 
-def random_parse_tree(
-    g: Grammar, rng: random.Random, max_depth: int = 12, settle_bias: float = 0.25
-) -> ParseTree | None:
+def random_parse_tree(g: Grammar, rng: random.Random, max_depth: int = 12) -> ParseTree | None:
     """Sample a random derivation tree from the start symbol.
 
     Productions are drawn uniformly among those that can still terminate
-    within the depth budget; with probability ``settle_bias`` a
-    minimal-height production is forced, which keeps trees small.  Returns
-    None when the language is empty.
+    within the depth budget; with probability 1/4 a minimal-height
+    production is forced, which keeps trees small.  Returns None when the
+    language is empty.
     """
     heights = min_heights(g)
     if heights[g.start] > max_depth:
@@ -65,7 +63,7 @@ def random_parse_tree(
             if 1 + max([heights[s] for s in p.rhs], default=0) <= budget
         ]
         assert feasible, "no production fits the depth budget"
-        if rng.random() < settle_bias:
+        if rng.random() < 0.25:
             low = min(1 + max([heights[s] for s in p.rhs], default=0) for p in feasible)
             feasible = [
                 p
@@ -128,21 +126,6 @@ def random_cnf_grammar(rng: random.Random, **kwargs) -> CNFGrammar:
             continue
 
 
-def random_graph(
-    rng: random.Random,
-    n_nodes: int,
-    alphabet: Sequence[str],
-    n_edges: int,
-) -> LabeledGraph:
-    nodes = tuple(str(i + 1) for i in range(n_nodes))
-    edges = set()
-    for _ in range(n_edges):
-        edges.add(
-            (rng.choice(nodes), rng.choice(tuple(alphabet)), rng.choice(nodes))
-        )
-    return LabeledGraph(frozenset(nodes), frozenset(alphabet), frozenset(edges))
-
-
 def random_nfa(
     rng: random.Random,
     n_states: int,
@@ -180,82 +163,3 @@ def _random_nfa_fields(
     initial = frozenset(itertools.compress(states, [draw() < 0.5 for _ in states])) or first
     accepting = frozenset(itertools.compress(states, [draw() < 0.5 for _ in states])) or last
     return state_set, letter_set, transitions, initial, accepting
-
-
-def random_superlinear_grammar(rng: random.Random) -> Grammar:
-    """A grammar with a linear core feeding the remaining nonterminals, so
-    it passes the superlinear shape check by construction."""
-    n_core = rng.randint(1, 3)
-    n_outer = rng.randint(1, 3)
-    core = tuple("L%d" % i for i in range(n_core))
-    outer = tuple("P%d" % i for i in range(n_outer))
-    terminals = ("a", "b")
-    productions: list[Production] = []
-    start = outer[0]
-    for nt in outer:
-        # the non-linear shape: core nonterminal times anything
-        productions.append(
-            Production(nt, (rng.choice(core), rng.choice(core + outer)))
-        )
-        if rng.random() < 0.5:
-            alpha = tuple(rng.choice(terminals) for _ in range(rng.randint(0, 2)))
-            body = alpha + (rng.choice(core),) if rng.random() < 0.5 else (
-                rng.choice(core),
-            ) + alpha
-            productions.append(Production(nt, body))
-        productions.append(
-            Production(nt, tuple(rng.choice(terminals) for _ in range(rng.randint(1, 2))))
-        )
-    for nt in core:
-        partner = rng.choice(core)
-        if rng.random() < 0.5:
-            productions.append(Production(nt, (rng.choice(terminals), partner)))
-        else:
-            productions.append(Production(nt, (partner, rng.choice(terminals))))
-        productions.append(Production(nt, (rng.choice(terminals),)))
-    return Grammar(
-        frozenset(terminals), frozenset(core + outer), tuple(dict.fromkeys(productions)), start
-    )
-
-
-def random_reduced_ultralinear_grammar(
-    rng: random.Random, levels: int
-) -> tuple[Grammar, list[set[str]]]:
-    """A reduced-form grammar together with its decomposition [N_0..N_k].
-
-    ``levels`` counts the partition classes (k = levels - 1); the top class
-    is {start} and the start symbol never recurs.
-    """
-    if levels < 1:
-        raise ValueError("need at least one level")
-    partition: list[set[str]] = []
-    terminals = ("a", "b")
-    productions: list[Production] = []
-    for i in range(levels - 1):
-        width = rng.randint(1, 2)
-        cls = {"U%d_%d" % (i, j) for j in range(width)}
-        partition.append(cls)
-        for nt in sorted(cls):
-            productions.append(Production(nt, (rng.choice(terminals),)))
-            if rng.random() < 0.7:
-                partner = rng.choice(sorted(cls))
-                if rng.random() < 0.5:
-                    productions.append(Production(nt, (rng.choice(terminals), partner)))
-                else:
-                    productions.append(Production(nt, (partner, rng.choice(terminals))))
-            if i >= 1 and rng.random() < 0.8:
-                below = sorted(set().union(*partition[:i]))
-                productions.append(
-                    Production(nt, (rng.choice(below), rng.choice(below)))
-                )
-    start = "Top"
-    partition.append({start})
-    productions.append(Production(start, (rng.choice(terminals),)))
-    if levels >= 2:
-        below = sorted(set().union(*partition[:-1]))
-        productions.append(Production(start, (rng.choice(below), rng.choice(below))))
-    nonterminals = frozenset(set().union(*partition))
-    return (
-        Grammar(frozenset(terminals), nonterminals, tuple(dict.fromkeys(productions)), start),
-        partition,
-    )

@@ -28,11 +28,8 @@ from ratindex.reachability import all_pairs_reach
 from ratindex.sampling import (
     random_cnf_grammar,
     random_grammar,
-    random_graph,
     random_nfa,
     random_parse_tree,
-    random_reduced_ultralinear_grammar,
-    random_superlinear_grammar,
 )
 from ratindex.trees import ParseTree, dimension
 from ratindex.wellnested import (
@@ -45,6 +42,7 @@ from ratindex.wellnested import (
 )
 
 from conftest import EXAMPLE_PROGRAM
+from generators import random_graph, random_reduced_ultralinear_grammar, random_superlinear_grammar
 from oracles import naive_datalog_fixpoint, shortest_intersection_bfs, superlinear_exhaustive, walks_up_to
 
 

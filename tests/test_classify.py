@@ -11,13 +11,10 @@ from ratindex.classify import (
 )
 from ratindex.datalog import chain_to_cfg, parse_chain_program
 from ratindex.grammar import parse_grammar, trim_useless
-from ratindex.sampling import (
-    random_grammar,
-    random_reduced_ultralinear_grammar,
-    random_superlinear_grammar,
-)
+from ratindex.sampling import random_grammar
 
 from conftest import EXAMPLE_PROGRAM
+from generators import random_reduced_ultralinear_grammar, random_superlinear_grammar
 from oracles import expansive_bruteforce, superlinear_exhaustive
 
 
@@ -118,6 +115,23 @@ def test_malformed_partitions(anbn):
         verify_ultralinear(anbn, [{"Q"}])
     with pytest.raises(MalformedPartitionError):
         verify_ultralinear(anbn, [set()])
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [[set(), {"S"}], [{"S"}, set()], [{"S"}, set(), set()]],
+    ids=["/S", "S/", "S//"],
+)
+def test_an_empty_partition_level_is_malformed(anbn, partition):
+    # an empty level would count towards k, and the bound is n^(2k)
+    level = partition.index(set())
+    with pytest.raises(MalformedPartitionError, match="partition level %d is empty" % level):
+        verify_ultralinear(anbn, partition)
+
+
+def test_a_partition_missing_nonterminals_reports_them_before_empty_levels(anbn):
+    with pytest.raises(MalformedPartitionError, match=r"misses nonterminals: \['S'\]"):
+        verify_ultralinear(anbn, [set(), set()])
 
 
 def test_reduced_implies_ultralinear_on_random_decompositions(rng):

@@ -192,6 +192,18 @@ def test_classify_negative_samples_is_a_usage_error(capsys, anbn_file, tmp_path)
     assert out.splitlines()[-1] == "sampled_trees: 0"
 
 
+@pytest.mark.parametrize("partition", ["/S", "S/", "S//"])
+def test_classify_empty_partition_level_is_an_input_error(capsys, anbn_file, partition):
+    code, out, err = run_cli(capsys, "classify", "--grammar", anbn_file, "--partition", partition)
+    level = partition.split("/").index("")
+    assert (code, out, err) == (1, "", "error: partition level %d is empty\n" % level)
+
+
+def test_classify_partition_of_commas_still_misses_the_start(capsys, anbn_file):
+    code, out, err = run_cli(capsys, "classify", "--grammar", anbn_file, "--partition", ",")
+    assert (code, out, err) == (1, "", "error: partition misses nonterminals: ['S']\n")
+
+
 def test_measure_rho_two_cycle_csv(capsys, anbn_file):
     code, out, _ = run_cli(
         capsys,

@@ -14,9 +14,9 @@ from ratindex.datalog import (
 )
 from ratindex.grammar import Production, to_cnf
 from ratindex.graphs import LabeledGraph
-from ratindex.sampling import random_graph
 
 from conftest import EXAMPLE_PROGRAM
+from generators import random_graph
 from oracles import naive_datalog_fixpoint
 
 

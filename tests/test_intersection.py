@@ -15,7 +15,7 @@ from ratindex.intersection import (
     shortest_words,
 )
 from ratindex.measure import two_cycle_family
-from ratindex.sampling import random_cnf_grammar, random_graph, random_nfa
+from ratindex.sampling import random_cnf_grammar, random_nfa
 
 from oracles import (
     UP_DOWN_FLAT,
@@ -31,6 +31,7 @@ from oracles import (
 )
 
 from conftest import two_regular_dyck_graph
+from generators import random_graph
 
 
 @pytest.fixture

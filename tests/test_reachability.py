@@ -19,9 +19,10 @@ from ratindex.reachability import (
     witness,
     witness_path,
 )
-from ratindex.sampling import random_cnf_grammar, random_graph, random_nfa
+from ratindex.sampling import random_cnf_grammar, random_nfa
 
 from conftest import EXAMPLE_PROGRAM, permutation_dyck_graph
+from generators import random_graph
 from oracles import reference_closure, resolve_by_tuple_words, walks_up_to
 
 

@@ -8,10 +8,9 @@ from ratindex.sampling import (
     random_grammar,
     random_nfa,
     random_parse_tree,
-    random_reduced_ultralinear_grammar,
-    random_superlinear_grammar,
 )
 
+from generators import random_reduced_ultralinear_grammar, random_superlinear_grammar
 from oracles import derives, random_nfa_by_comprehension
 
 
