@@ -88,6 +88,9 @@ def cmd_reach(args) -> int:
 
     g = to_cnf(_load_grammar(args.grammar))
     graph = parse_graph(_read(args.graph))
+    for node in (args.source, args.target):
+        if node is not None and node not in graph.nodes:
+            raise RatIndexError("node %r is not in the graph" % node)
     for i, j in sorted(reach_pairs(g, graph)):
         if args.source is not None and i != args.source:
             continue
@@ -127,7 +130,7 @@ def cmd_classify(args) -> int:
         print("--samples must be nonnegative, got %d" % args.samples, file=sys.stderr)
         return 2
     g = _load_grammar(args.grammar)
-    partition = _parse_partition(args.partition) if args.partition else None
+    partition = _parse_partition(args.partition) if args.partition is not None else None
     report = classify_grammar(
         g, partition=partition, samples=args.samples, seed=args.seed
     )

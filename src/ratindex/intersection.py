@@ -15,17 +15,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Hashable,
-    Iterable,
-    Iterator,
-    ItemsView,
-    Mapping,
-    Union,
-    ValuesView,
-)
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 from .errors import RatIndexError
 from .graphs import NFA, LabeledGraph
@@ -101,13 +91,10 @@ def decode(names: tuple[str, ...], code: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True, slots=True)
 class ShortestEntry:
-    """The canonical witness of a triple, as handed out by
-    ``ProductClosure.entry``.  The word is stored as its code (see
-    ``word_codec``), one character per symbol, and ``word`` decodes it to a
-    tuple of terminal names on each access.  A closure keeps no entry for a
-    triple it has not handed out: its table of canonical steps is a
-    straight-line program for every word, and an entry's code is spelled
-    from it when the entry is built."""
+    """The canonical witness of a triple, as a ``ShortestTable`` builds it
+    on each read from its closure's code and canonical step.  The word is
+    stored as its code (see ``word_codec``), one character per symbol, and
+    ``word`` decodes it to a tuple of terminal names on each access."""
 
     code: str
     names: tuple[str, ...] = field(repr=False)  # the terminals by rank
@@ -174,15 +161,13 @@ class ProductClosure:
     and returned as codes (see ``word_codec``), and a code exists only
     where something reads it: the parts of a tied triple's splits, whose
     concatenations the tie compares, the start triples of minimum length
-    that ``least_start`` compares, and the triples handed out by ``code``
-    and ``entry``.  ``code`` memoizes one code per triple, and a walk
-    copies the memoized codes of the triples it meets, so a derivation with
-    no tie builds no code below its root; ``path_and_word`` walks the steps
-    and builds no code at all.  ``entries`` holds the ``ShortestEntry`` of
-    every triple handed out so far, and ``entry`` is the one reader that
-    fills it on demand (a ``ShortestTable`` reads through it);
-    ``resolve_all`` builds one for every triple, with codes concatenated
-    bottom-up.
+    that ``least_start`` compares, and the triples handed out by ``code``.
+    ``code`` is the one speller: it memoizes one code per triple, and a
+    walk copies the memoized codes of the triples it meets, so a derivation
+    with no tie builds no code below its root; ``path_and_word`` walks the
+    steps and builds no code at all.  The closure keeps no entries: a
+    ``ShortestTable`` builds each one from ``code`` and ``steps`` when it
+    is read.
 
     A settled closure keeps only what resolution reads: ``lengths``,
     ``by_source``, the start symbol, whose rows ``start_rows`` and
@@ -327,7 +312,6 @@ class ProductClosure:
         self.lengths = lengths
         self.by_source = by_source
         self.steps: dict[Triple, tuple[int, Triple | None, Triple | None]] = {}
-        self.entries: dict[Triple, ShortestEntry] = {}
         self._codes: dict[Triple, str] = {}
         self._start = g.start
         self._pair_rules = pair_rules
@@ -440,36 +424,6 @@ class ProductClosure:
             else:
                 stack += (right, left)
         return tuple(path), tuple(word)
-
-    def entry(self, triple: Triple) -> ShortestEntry:
-        """The canonical entry of a triple, built and kept on first request;
-        raises KeyError for a triple that is not realizable."""
-        entry = self.entries.get(triple)
-        if entry is None:
-            code = self.code(triple)
-            entry = self.entries[triple] = ShortestEntry(code, self._names, *self.steps[triple])
-        return entry
-
-    def resolve_all(self) -> dict[Triple, ShortestEntry]:
-        """Resolve every realizable triple not resolved yet and build the
-        entry of every triple not handed out yet, in one pass, shortest
-        first, each code the concatenation of its parts' codes; returns
-        ``entries``."""
-        entries, steps, codes = self.entries, self.steps, self._codes
-        names, chars, productions = self._names, self._chars, self._productions
-        for triple in sorted(
-            (t for t in self.lengths if t not in entries), key=self.lengths.__getitem__
-        ):
-            if triple not in steps:
-                self._resolve(triple, self.splits(triple))
-            step = pid, left, right = steps[triple]
-            code = codes.get(triple)
-            if code is None:
-                code = codes[triple] = (
-                    chars[productions[pid].rhs[0]] if left is None else codes[left] + codes[right]
-                )
-            entries[triple] = ShortestEntry(code, names, *step)
-        return entries
 
     def _resolve_below(self, triple: Triple) -> None:
         """Resolve a realizable triple and the triples that its shortest
@@ -588,13 +542,13 @@ class ShortestTable(Mapping[Triple, ShortestEntry]):
     triple: a read-only mapping from every realizable triple to its
     ``ShortestEntry``, in which unrealizable triples are simply absent.
     Lengths are settled when the table is built, and keys, ``len``, ``in``
-    and ``length`` read them and resolve nothing.  An entry is resolved
-    when it is first read, together with the shorter triples it may be
-    built from; ``items`` and ``values`` first resolve every triple not
-    resolved yet, in one ``resolve_all`` pass.  The table keeps its
-    ``ProductClosure`` for that.  As a ``Mapping`` it is false when empty,
-    equal to a mapping with the same entries (which resolves both), and
-    unhashable."""
+    and ``length`` read them and resolve nothing.  A triple is resolved
+    when its entry is first read, together with the shorter triples it may
+    be built from, and ``items`` and ``values`` read every entry that way.
+    The table keeps its ``ProductClosure`` for that and keeps no entry:
+    each read builds a new, equal one.  As a ``Mapping`` it is false when
+    empty, equal to a mapping with the same entries (which resolves both),
+    and unhashable."""
 
     __slots__ = ("closure",)
 
@@ -607,7 +561,8 @@ class ShortestTable(Mapping[Triple, ShortestEntry]):
         return self
 
     def __getitem__(self, triple: Triple) -> ShortestEntry:
-        return self.closure.entry(triple)
+        closure = self.closure
+        return ShortestEntry(closure.code(triple), closure._names, *closure.steps[triple])
 
     def __contains__(self, triple: object) -> bool:
         return triple in self.closure.lengths
@@ -617,14 +572,6 @@ class ShortestTable(Mapping[Triple, ShortestEntry]):
 
     def __len__(self) -> int:
         return len(self.closure.lengths)
-
-    def items(self) -> ItemsView[Triple, ShortestEntry]:
-        self.closure.resolve_all()
-        return super().items()
-
-    def values(self) -> ValuesView[ShortestEntry]:
-        self.closure.resolve_all()
-        return super().values()
 
     def length(self, triple: Triple) -> int | None:
         return self.closure.lengths.get(triple)

@@ -134,6 +134,19 @@ def test_reach(capsys, tmp_path):
     assert out.splitlines() == ["1\t2", "1\t3"]
 
 
+@pytest.mark.parametrize("flag", ["--source", "--target"])
+def test_reach_rejects_a_node_not_in_the_graph(capsys, tmp_path, flag):
+    # it used to print nothing and exit 0, as for a real node with no facts
+    grammar = tmp_path / "desc.cfg"
+    grammar.write_text("Desc -> Child | Child Desc\nChild -> child\n")
+    graph = tmp_path / "family.tsv"
+    graph.write_text(CHILD_GRAPH_TSV)
+    code, out, err = run_cli(
+        capsys, "reach", "--grammar", str(grammar), "--graph", str(graph), flag, "nosuch"
+    )
+    assert (code, out, err) == (1, "", "error: node 'nosuch' is not in the graph\n")
+
+
 def test_tree_metrics(capsys, anbn_file):
     code, out, _ = run_cli(
         capsys, "tree-metrics", "--grammar", anbn_file, "--word", "aabb"
@@ -201,6 +214,12 @@ def test_classify_empty_partition_level_is_an_input_error(capsys, anbn_file, par
 
 def test_classify_partition_of_commas_still_misses_the_start(capsys, anbn_file):
     code, out, err = run_cli(capsys, "classify", "--grammar", anbn_file, "--partition", ",")
+    assert (code, out, err) == (1, "", "error: partition misses nonterminals: ['S']\n")
+
+
+def test_classify_empty_partition_is_a_partition(capsys, anbn_file):
+    # it used to be read as no partition at all, and exited 0
+    code, out, err = run_cli(capsys, "classify", "--grammar", anbn_file, "--partition", "")
     assert (code, out, err) == (1, "", "error: partition misses nonterminals: ['S']\n")
 
 

@@ -6,6 +6,7 @@ from ratindex.graphs import NFA, LabeledGraph, parse_graph, parse_nfa
 from ratindex.intersection import (
     ROW_PARTNERS,
     ProductClosure,
+    ShortestTable,
     UnrealizableTripleError,
     bar_hillel,
     extract_witness,
@@ -372,7 +373,8 @@ def test_start_queries_match_the_start_pair_scan(rng):
 
 
 def entries_as_tuples(closure, triples):
-    found = {t: closure.entry(t) for t in triples}
+    table = ShortestTable(closure)
+    found = {t: table[t] for t in triples}
     assert all(entry.length == len(entry.word) for entry in found.values())
     return {t: (e.word, e.production, e.left, e.right) for t, e in found.items()}
 
@@ -393,11 +395,11 @@ def test_entries_match_the_tuple_word_resolution(rng):
         closure = ProductClosure(g, transitions)
         expected, ties = resolve_by_tuple_words(g, transitions, closure)
         tied += ties
-        # resolve_all on some instances, triples on demand in a random order
-        # on the others
+        # triples in increasing length on some instances, on demand in a
+        # random order on the others
         triples = list(closure.lengths)
         if trial % 4 < 2:
-            closure.resolve_all()
+            triples.sort(key=closure.lengths.__getitem__)
         else:
             rng.shuffle(triples)
         assert entries_as_tuples(closure, triples) == expected
@@ -416,7 +418,7 @@ def test_entries_over_a_wide_alphabet_match_the_tuple_word_resolution(rng):
     expected, _ = resolve_by_tuple_words(g, graph.edges, closure)
     assert entries_as_tuples(closure, closure.lengths) == expected
     assert len(expected) >= 500
-    assert max(max(map(ord, e.code)) for e in closure.entries.values()) > 255
+    assert max(max(map(ord, e.code)) for e in ShortestTable(closure).values()) > 255
 
 
 def long_ties(closure, expected, at_least):
@@ -520,6 +522,21 @@ def test_lazy_table_rejects_unrealizable_triples():
     assert len(table.entries) == 1 and table.realizable() == {("T_a", "1", "2")}
 
 
+def test_a_table_is_a_mapping():
+    g = to_cnf(parse_grammar("S -> S S | a S b | a b\n"))
+    empty = shortest_words(bar_hillel(g, LabeledGraph.from_edges([], ["1"])))
+    assert not empty and empty == {}
+    table = shortest_words(bar_hillel(g, parse_graph(two_regular_dyck_graph(1, 16))))
+    assert table
+    one_by_one = {}
+    for t in table:
+        one_by_one[t] = table[t]
+    assert table == dict(table.items()) and table == one_by_one
+    assert all(table[t] == entry for t, entry in one_by_one.items())
+    with pytest.raises(TypeError):
+        hash(table)
+
+
 def test_shortest_queries_resolve_few_triples(monkeypatch):
     resolved = []
     resolve = ProductClosure._resolve
@@ -553,7 +570,7 @@ def test_a_shortest_query_and_its_witness_spell_one_code(anbn_cnf, p, q, steps):
     assert len(table.closure.steps) == steps
 
 
-def test_lazy_items_and_values_resolve_the_rest_in_one_pass(monkeypatch, rng):
+def test_lazy_items_and_values_resolve_every_triple_once(monkeypatch, rng):
     resolved = []
     resolve = ProductClosure._resolve
 
@@ -579,10 +596,9 @@ def test_lazy_items_and_values_resolve_the_rest_in_one_pass(monkeypatch, rng):
             found = dict(table.entries.items())
         else:
             found = dict(zip(keys, table.entries.values()))
-        # every triple once in all, the rest in one pass, shortest first
+        # every triple once in all
         assert sorted(resolved) == sorted(keys)
         rest = [table.length(t) for t in resolved[before:]]
-        assert rest == sorted(rest)
         expected, _ = resolve_by_tuple_words(g, graph.edges, table.closure)
         assert {t: (e.word, e.production, e.left, e.right) for t, e in found.items()} == expected
         nonempty += len(rest) > 1 and before > 0
