@@ -174,6 +174,27 @@ class CNFGrammar(Grammar):
         return fixed
 
     @functools.cached_property
+    def rule_index(self) -> tuple[dict, dict, dict]:
+        """The rules indexed for the joins of the product engines and CYK:
+        the terminal rules by label, as (production id, head); the binary
+        rules by head, as (production id, left, right); and the binary rules
+        by child, as (parent, partner, whether the partner is the right
+        child).  Each list is in production order.  Computed once per
+        grammar and shared, so callers must not change them."""
+        by_label: dict[str, list[tuple[int, str]]] = {}
+        by_head: dict[str, list[tuple[int, str, str]]] = {}
+        by_child: dict[str, list[tuple[str, str, bool]]] = {}
+        for pid, (head, body) in enumerate(self.productions):
+            if len(body) == 1:
+                by_label.setdefault(body[0], []).append((pid, head))
+            elif body:
+                b, c = body
+                by_head.setdefault(head, []).append((pid, b, c))
+                by_child.setdefault(b, []).append((head, c, True))
+                by_child.setdefault(c, []).append((head, b, False))
+        return by_label, by_head, by_child
+
+    @functools.cached_property
     def least_words(self) -> tuple[tuple[str, ...], ...]:
         """The start symbol's words of minimum length, sorted, or the first
         ``LEAST_WORDS_KEPT`` of them when it has more: ``((),)`` when the
@@ -592,10 +613,10 @@ def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
     The facts are ``realized_rows`` over the word's chain, as in
     ``cyk_membership``; no length is settled, since on a chain a fact
     (A, i, j) derives words of length j - i only.  A node (A, i, j) takes
-    its first rule A -> B C in production order that has a split point k
-    with (B, i, k) and (C, k, j) realized, and the least such k: lower
-    production ids win, then smaller split points, as in the product
-    closure's canonical rule.
+    its first rule A -> B C (read from ``CNFGrammar.rule_index``) that has
+    a split point k with (B, i, k) and (C, k, j) realized, and the least
+    such k: lower production ids win, then smaller split points, as in the
+    product closure's canonical rule.
     """
     from . import intersection
 
@@ -607,18 +628,17 @@ def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
     rows = intersection.realized_rows(g, [(p, a, p + 1) for p, a in enumerate(w)])
     if len(w) not in rows[g.start].get(0, ()):
         return None
-    rules = g.by_lhs()
+    pair_rules = g.rule_index[1]
 
     def parts(triple: tuple[str, int, int]) -> tuple:
         head, i, j = triple
         if j == i + 1:
             return (w[i],)
-        for _pid, (_, body) in rules[head]:
-            if len(body) == 2:
-                left, right = rows[body[0]].get(i, ()), rows[body[1]]
-                k = min((m for m in left if m < j and j in right.get(m, ())), default=None)
-                if k is not None:
-                    return (body[0], i, k), (body[1], k, j)
+        for _pid, b, c in pair_rules[head]:
+            left, right = rows[b].get(i, ()), rows[c]
+            k = min((m for m in left if m < j and j in right.get(m, ())), default=None)
+            if k is not None:
+                return (b, i, k), (c, k, j)
 
     return intersection.derivation_tree((g.start, 0, len(w)), parts)
 

@@ -126,8 +126,11 @@ class ProductClosure:
     is a positive integer and a join is strictly longer than either of its
     parts, so triples are settled bucket by bucket in increasing length
     (Knuth's generalisation of Dijkstra's algorithm) and a bucket is
-    complete when it is reached.  Nodes may be any hashable, ordered
-    values.
+    complete when it is reached.  The first bucket is seeded from the
+    sorted edges, so the settle order, the key order of ``lengths`` and the
+    rows follow neither the order of ``transitions`` nor the hash seed, and
+    the nodes of one closure must be mutually comparable.  The rules come
+    from ``CNFGrammar.rule_index``.
 
     A settled triple (B, i, k) joins, for a rule A -> B C, with every
     realized partner (C, k, j) in ``by_source[C][k]``; each partner is a
@@ -135,15 +138,14 @@ class ProductClosure:
     ``by_target`` the same way.  On dense graphs few probes push anything:
     on a seeded 64-node graph with two edges out of and into every node and
     ``S -> S S | a S b | a b``, the closure makes 270,464 probes for 8,320
-    triples, and about 10,460 push (the exact count follows the order of
-    the edges).  So a pop with at least ``ROW_PARTNERS`` partners probes a
-    bound row first: a dict of upper bounds on the lengths of the
-    candidates (A, i, *) keyed by target node (for a right child, of
-    (A, *, j) keyed by source node).  A candidate whose bound is at most
-    the new length is turned away without building its triple.  A bound is
-    the candidate's length in ``lengths`` at some moment, learned when a
-    probe misses the row; lengths only fall, so a probe that a bound turns
-    away would have been turned away by ``lengths`` too.  ``lengths``
+    triples, and 10,466 push.  So a pop with at least ``ROW_PARTNERS``
+    partners probes a bound row first: a dict of upper bounds on the
+    lengths of the candidates (A, i, *) keyed by target node (for a right
+    child, of (A, *, j) keyed by source node).  A candidate whose bound is
+    at most the new length is turned away without building its triple.  A
+    bound is the candidate's length in ``lengths`` at some moment, learned
+    when a probe misses the row; lengths only fall, so a probe that a bound
+    turns away would have been turned away by ``lengths`` too.  ``lengths``
     stays the only store of truth, the pushes are those of probing
     ``lengths`` alone, and the rows are freed when the closure settles.  On
     the graph above the rows turn away about 248,500 probes, and about
@@ -208,43 +210,24 @@ class ProductClosure:
         # Keying by nonterminal first stores no (nonterminal, node) tuple per
         # key.  Only the joins read ``by_target``; once the closure settles,
         # it is kept for the nonterminals of one word length only.
-        by_source: dict[str, dict[Hashable, list[tuple[Hashable, int]]]] = {
-            a: {} for a in g.nonterminals
-        }
-        by_target: dict[str, dict[Hashable, list[tuple[Hashable, int]]]] = {
-            a: {} for a in g.nonterminals
-        }
-        terminal_rules: dict[str, list[tuple[int, str]]] = {}
-        # Per nonterminal, the binary rules it is a child of, as (parent,
-        # the partner's realized triples by shared node, whether the partner
-        # is the right child).
-        joins: dict[str, list[tuple[str, dict, bool]]] = {}
-        pair_rules: dict[str, list[tuple[int, str, str]]] = {}
-        for pid, prod in enumerate(g.productions):
-            if len(prod.rhs) == 1:
-                terminal_rules.setdefault(prod.rhs[0], []).append((pid, prod.lhs))
-            elif len(prod.rhs) == 2:
-                b, c = prod.rhs
-                joins.setdefault(b, []).append((prod.lhs, by_source[c], True))
-                joins.setdefault(c, []).append((prod.lhs, by_target[b], False))
-                pair_rules.setdefault(prod.lhs, []).append((pid, b, c))
-
-        # Lengths are tentative until their bucket is reached.
-        lengths: dict[Triple, int] = {}
-        # The production id of every triple of length 1, the one of smallest
-        # (code, production id); its code is the character of its terminal.
-        chars, names = word_codec(g.terminals)
-        productions = g.productions
+        by_source: dict[str, dict] = {a: {} for a in g.nonterminals}
+        by_target: dict[str, dict] = {a: {} for a in g.nonterminals}
+        terminal_rules, pair_rules, child_rules = g.rule_index
+        # Per nonterminal, the binary rules it is a child of, as (parent, the
+        # partner's realized triples by shared node, whether it is the right child).
+        joins: dict[str, list[tuple[str, dict, bool]]] = {child: [] for child in child_rules}
+        for child, rules in child_rules.items():
+            for parent, partner, right in rules:
+                joins[child].append((parent, (by_source if right else by_target)[partner], right))
+        # The production id of every triple of length 1: the first met over
+        # the sorted edges, the one of smallest (code, production id), as
+        # labels sort as their codes and each label's rules by production id.
         edges: dict[Triple, int] = {}
-        for src, label, dst in transitions:
+        for src, label, dst in sorted(transitions):
             for pid, head in terminal_rules.get(label, ()):
-                triple = (head, src, dst)
-                old = edges.get(triple)
-                if old is None:
-                    lengths[triple] = 1
-                    edges[triple] = pid
-                elif (chars[label], pid) < (chars[productions[old].rhs[0]], old):
-                    edges[triple] = pid
+                edges.setdefault((head, src, dst), pid)
+        # Lengths are tentative until their bucket is reached.
+        lengths: dict[Triple, int] = dict.fromkeys(edges, 1)
         # Bound rows (see the class docstring): the row of (P, i, *) is
         # keyed by (P, i, None), that of (P, *, j) by (P, None, j).
         bounds: dict[tuple, dict[Hashable, int]] = {}
@@ -316,9 +299,8 @@ class ProductClosure:
         self._start = g.start
         self._pair_rules = pair_rules
         self._edges = edges
-        self._productions = productions
-        self._chars = chars
-        self._names = names
+        self._productions = g.productions
+        self._chars, self._names = word_codec(g.terminals)
         self._fixed_by_target = {c: (ell, by_target[c]) for c, ell in g.fixed_lengths.items()}
 
     def start_rows(
@@ -478,11 +460,11 @@ def realized_rows(
     not yet in the parent's row ``rows[P][i]``, one set difference per rule
     (a right child joins through the columns the same way).  So a candidate
     that is already realized costs no Python step, where the closure must
-    probe it to compare lengths.
+    probe it to compare lengths.  It reads ``CNFGrammar.rule_index``.
     """
     rows: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
     cols: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
-    terminal_heads: dict[str, list[str]] = {}
+    terminal_rules, _pair_rules, child_rules = g.rule_index
     # Per nonterminal, the binary rules it is a child of, as (parent, the
     # parent's sets that the join extends, the parent's sets on the other
     # side, the partner's sets by shared node, whether the partner is the
@@ -490,19 +472,16 @@ def realized_rows(
     # and extends ``rows[P][i]``, and a right child (C, k, j) reads
     # ``cols[B][k]`` and extends ``cols[P][j]``.
     joins: dict[str, list[tuple[str, dict, dict, dict, bool]]] = {
-        a: [] for a in g.nonterminals
+        child: [
+            (p, rows[p], cols[p], rows[c], True) if right else (p, cols[p], rows[p], cols[c], False)
+            for p, c, right in rules
+        ]
+        for child, rules in child_rules.items()
     }
-    for prod in g.productions:
-        if len(prod.rhs) == 1:
-            terminal_heads.setdefault(prod.rhs[0], []).append(prod.lhs)
-        elif len(prod.rhs) == 2:
-            p, (b, c) = prod.lhs, prod.rhs
-            joins[b].append((p, rows[p], cols[p], rows[c], True))
-            joins[c].append((p, cols[p], rows[p], cols[b], False))
 
     work: list[Triple] = []
     for src, label, dst in transitions:
-        for head in terminal_heads.get(label, ()):
+        for _pid, head in terminal_rules.get(label, ()):
             row = rows[head].setdefault(src, set())
             if dst not in row:
                 row.add(dst)
@@ -511,7 +490,7 @@ def realized_rows(
 
     while work:
         head, i, j = work.pop()
-        for parent, out, into, partner_sets, on_right in joins[head]:
+        for parent, out, into, partner_sets, on_right in joins.get(head, ()):
             own, shared = (i, j) if on_right else (j, i)
             partners = partner_sets.get(shared)
             if not partners:

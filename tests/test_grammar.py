@@ -322,3 +322,33 @@ def test_least_words_examples():
     # 3^3 words of length 3; the first 8 in order
     g = to_cnf(parse_grammar("S -> A A A | a a a a\nA -> c | b | a\n"))
     assert g.least_words == tuple(itertools.islice(itertools.product("abc", repeat=3), 8))
+
+
+def test_rule_index_lists_every_rule_once_per_role(rng):
+    for _ in range(200):
+        g = random_cnf_grammar(rng, max_nonterminals=4, max_terminals=3)
+        index = g.rule_index
+        assert g.rule_index is index  # computed once per grammar
+        by_label, by_head, by_child = index
+        # each label's terminal rules, in production order
+        assert by_label == {
+            a: [(pid, p.lhs) for pid, p in enumerate(g.productions) if p.rhs == (a,)]
+            for a in {p.rhs[0] for p in g.productions if len(p.rhs) == 1}
+        }
+        binary = [(pid, p) for pid, p in enumerate(g.productions) if len(p.rhs) == 2]
+        # each binary rule once by head, in production order
+        assert by_head == {
+            head: [(pid, *p.rhs) for pid, p in binary if p.lhs == head]
+            for head in {p.lhs for _pid, p in binary}
+        }
+        # and twice by child: under B and under C for A -> B C, twice under
+        # B for A -> B B, in production order
+        listed = []
+        for child, rules in by_child.items():
+            ids = []
+            for parent, partner, on_right in rules:
+                body = (child, partner) if on_right else (partner, child)
+                ids.append(g.productions.index((parent, body)))
+            assert ids == sorted(ids)
+            listed += ids
+        assert sorted(listed) == sorted(2 * [pid for pid, _p in binary])

@@ -12,6 +12,7 @@ from ratindex.intersection import (
     extract_witness,
     height_bound_check,
     realizable_start_pairs,
+    realized_rows,
     shortest_start,
     shortest_words,
 )
@@ -623,7 +624,7 @@ def test_closure_matches_the_tuple_keyed_reference(monkeypatch, rng, row_partner
         else:
             transitions = random_nfa(rng, n, letters, rng.choice((0.15, 0.5, 0.9))).transitions
         counts = {}
-        lengths, by_source = reference_closure(g, transitions, counts, wide=row_partners)
+        lengths, by_source = reference_closure(g, sorted(transitions), counts, wide=row_partners)
         closure = ProductClosure(g, transitions)
         assert list(closure.lengths.items()) == list(lengths.items())
         assert closure.by_source == by_source
@@ -631,6 +632,54 @@ def test_closure_matches_the_tuple_keyed_reference(monkeypatch, rng, row_partner
         # a parent with a terminal rule: its row learns a length-1 triple
         edge_probed += counts["wide_edge_probes"] > 0
     assert wide >= 100 and edge_probed >= 50
+
+
+def settle_record(g, transitions):
+    """What a closure settles and resolves, in the order it does so: its
+    lengths, its rows, the code of every triple and its steps."""
+    closure = ProductClosure(g, transitions)
+    codes = [(t, closure.code(t)) for t in sorted(closure.lengths)]
+    rows = {a: list(row.items()) for a, row in closure.by_source.items()}
+    return list(closure.lengths.items()), rows, codes, list(closure.steps.items())
+
+
+def test_a_closure_settles_in_one_order_whatever_the_order_of_its_edges(rng):
+    # The first bucket is seeded from the sorted edges, so the pushes, the
+    # key order of ``lengths`` and the rows follow neither the order of a
+    # list of transitions nor, through a frozenset, the hash seed.
+    tied = 0
+    for _ in range(300):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=3)
+        n = rng.randint(1, 8)
+        letters = sorted(g.terminals)
+        edges = sorted(random_graph(rng, n, letters, rng.choice((n, 2 * n, n * n))).edges)
+        rng.shuffle(edges)
+        record = settle_record(g, edges)
+        assert settle_record(g, edges[::-1]) == record
+        assert settle_record(g, frozenset(edges)) == record
+        # two labels on one node pair: an edge tie decided by the sort
+        tied += len({(i, j) for i, _a, j in edges}) < len(edges)
+    assert tied >= 100
+
+
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_an_edge_tie_goes_to_the_smallest_label(first):
+    # S -> b is production 0 and S -> a production 1: the canonical edge
+    # step of (S, 1, 2) is the rule of the smaller word, a, in either order.
+    g = to_cnf(parse_grammar("S -> b | a\n"))
+    assert g.productions[1] == ("S", ("a",))
+    second = "b" if first == "a" else "a"
+    closure = ProductClosure(g, [(1, first, 2), (1, second, 2)])
+    assert list(closure.lengths.items()) == [(("S", 1, 2), 1)]
+    assert closure.code(("S", 1, 2)) == chr(0)
+    assert closure.steps[("S", 1, 2)] == (1, None, None)
+
+
+def test_realized_rows_reach_a_nonterminal_that_is_no_rules_child():
+    g = to_cnf(parse_grammar("S -> A B\nA -> a\nB -> b\n"))
+    assert "S" not in g.rule_index[2]
+    rows = realized_rows(g, [(0, "a", 1), (1, "b", 2), (2, "a", 3)])
+    assert rows == {"S": {0: {2}}, "A": {0: {1}, 2: {3}}, "B": {1: {2}}}
 
 
 def settled_lengths(closure):
