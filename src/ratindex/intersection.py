@@ -562,22 +562,28 @@ class ShortestTable(Mapping[Triple, ShortestEntry]):
 def derivation_tree(root: Triple, parts: Callable[[Triple], tuple]) -> ParseTree:
     """The parse tree of a derivation in the base grammar.  ``parts(t)`` is
     (left, right) for a binary step and (terminal,) for an edge step.  Built
-    without recursion; a triple used twice shares its subtree."""
+    without recursion; ``parts`` is called once per distinct triple, a
+    triple used twice shares its subtree, and each terminal has one leaf."""
     trees: dict[Triple, ParseTree] = {}
+    leaves: dict[str, ParseTree] = {}
     stack: list[tuple[Triple, tuple | None]] = [(root, None)]
     while stack:
         triple, below = stack.pop()
-        if below is None:
-            if triple in trees:
-                continue
+        if below is not None:
+            left, right = below
+            trees[triple] = ParseTree(triple[0], (trees[left], trees[right]))
+        elif triple not in trees:
             below = parts(triple)
             if len(below) == 2:
                 stack.append((triple, below))
-                stack += ((t, None) for t in below)
-                continue
-            trees[triple] = ParseTree(triple[0], (ParseTree(below[0]),))
-        else:
-            trees[triple] = ParseTree(triple[0], tuple(trees[t] for t in below))
+                stack.append((below[0], None))
+                stack.append((below[1], None))
+            else:
+                terminal = below[0]
+                leaf = leaves.get(terminal)
+                if leaf is None:
+                    leaf = leaves[terminal] = ParseTree(terminal)
+                trees[triple] = ParseTree(triple[0], (leaf,))
     return trees[root]
 
 

@@ -3,27 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 #: Label of a leaf standing for the empty word in a parse tree.
 EPSILON = "ε"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParseTree:
     """An ordered tree of symbol labels.
 
     Internal nodes carry nonterminal labels and have at least one child;
     leaves carry terminal labels (or EPSILON for an empty-word leaf).
     Subtrees may be shared between parents; all operations treat the
-    structure as a logical tree.
+    structure as a logical tree.  The tree builders of this package share
+    one leaf per terminal.
+
+    Instances are slotted and immutable.  A tuple of children is kept as
+    given; any other iterable is copied into a tuple.
     """
 
     label: str
     children: tuple["ParseTree", ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, label: str, children: Iterable["ParseTree"] = ()) -> None:
+        object.__setattr__(self, "label", label)
+        if type(children) is not tuple:
+            children = tuple(children)
+        object.__setattr__(self, "children", children)
 
     @property
     def is_leaf(self) -> bool:

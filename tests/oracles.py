@@ -302,6 +302,72 @@ def resolve_by_tuple_words(g: CNFGrammar, transitions, closure) -> dict:
     return entries, tied
 
 
+def tree_by_steps(entries: dict, root) -> ParseTree:
+    """Reference for witness trees: the canonical tree of ``root`` rebuilt
+    node by node from ``resolve_by_tuple_words`` entries.  Every occurrence
+    of a triple or a terminal gets new nodes, so no subtree is shared."""
+    done: list = []
+    stack = [(root, False)]
+    while stack:
+        triple, expanded = stack.pop()
+        word, _pid, left, right = entries[triple]
+        if left is None:
+            done.append(ParseTree(triple[0], [ParseTree(word[0])]))
+        elif not expanded:
+            stack += [(triple, True), (right, False), (left, False)]
+        else:
+            right_tree = done.pop()
+            done.append(ParseTree(triple[0], [done.pop(), right_tree]))
+    return done.pop()
+
+
+def cyk_tree_by_chart(g: CNFGrammar, word):
+    """Reference for ``cyk_parse`` that shares no code with it: a chart of
+    every derivable span filled shortest first by trying every binary
+    production at every split, then the tree read top down, each node
+    taking its first binary production with a split and that production's
+    least split point.  New nodes for every occurrence; None when the
+    grammar does not derive the word."""
+    w = tuple(word)
+    n = len(w)
+    if not n:
+        return ParseTree(g.start, [ParseTree(EPSILON)]) if g.epsilon_at_start else None
+    binary = [p for p in g.productions if len(p.rhs) == 2]
+    chart = {(p.lhs, i, i + 1) for i, a in enumerate(w) for p in g.productions if p.rhs == (a,)}
+
+    def first_split(head, i, j):
+        for p in binary:
+            if p.lhs == head:
+                b, c = p.rhs
+                for k in range(i + 1, j):
+                    if (b, i, k) in chart and (c, k, j) in chart:
+                        return (b, i, k), (c, k, j)
+        return None
+
+    heads = {p.lhs for p in binary}
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            for head in heads:
+                if first_split(head, i, i + length):
+                    chart.add((head, i, i + length))
+    if (g.start, 0, n) not in chart:
+        return None
+    done: list = []
+    stack = [((g.start, 0, n), False)]
+    while stack:
+        triple, expanded = stack.pop()
+        head, i, j = triple
+        if j == i + 1:
+            done.append(ParseTree(head, [ParseTree(w[i])]))
+        elif not expanded:
+            left, right = first_split(head, i, j)
+            stack += [(triple, True), (right, False), (left, False)]
+        else:
+            right_tree = done.pop()
+            done.append(ParseTree(head, [done.pop(), right_tree]))
+    return done.pop()
+
+
 def cyk_parse_by_closure(g: CNFGrammar, word):
     """Reference for ``cyk_parse``: the parse tree read from a full
     ``ProductClosure`` over the word's chain automaton, each node taking

@@ -6,12 +6,14 @@ tree equality, hashing and printing must not recurse with the data.  Each
 grammar size here used to take seconds in to_cnf: normalisation must not
 rescan the productions per nonterminal or per fresh name, nor enumerate
 every subset of a body's nullable occurrences.  Long witnesses must not
-cost a word of memory per symbol per triple.  Facts-only queries (Datalog
+cost a word of memory per symbol per triple, and their trees hold one
+leaf per terminal.  Facts-only queries (Datalog
 and CYK membership) on such inputs must not settle lengths nobody reads.
 Well-nested words of hundreds of thousands of moves are matched and
 measured in one pass with an explicit stack.
 """
 
+import sys
 import time
 import tracemalloc
 
@@ -150,6 +152,20 @@ def test_extract_witness_across_long_chain(anbn_cnf):
     assert found.path == tuple("c%d" % i for i in range(1201))
     assert found.tree.yield_word() == found.word
     assert is_valid_parse_tree(anbn_cnf, found.tree, require_start=True)
+
+
+def test_witness_tree_across_a_20000_step_chain_shares_its_leaves(anbn_cnf):
+    # A tree 20,000 levels deep, built under the default recursion limit,
+    # with one leaf object per terminal rather than one per position.
+    assert sys.getrecursionlimit() <= 1000
+    chain = anbn_chain(10000)
+    nfa = NFA(chain.nodes, chain.alphabet, chain.edges, {"c0"}, {"c20000"})
+    product = bar_hillel(anbn_cnf, nfa)
+    found = extract_witness(product, shortest_words(product), ("S", "c0", "c20000"))
+    assert found.word == ("a",) * 10000 + ("b",) * 10000
+    assert found.tree.yield_word() == found.word
+    leaves = {id(node) for node in found.tree.iter_nodes() if node.is_leaf}
+    assert len(leaves) == 2
 
 
 def test_cyk_on_long_anbn(anbn_cnf):

@@ -25,7 +25,7 @@ from ratindex.grammar import (
 from ratindex.sampling import random_cnf_grammar, random_grammar, random_parse_tree
 from ratindex.trees import EPSILON
 
-from oracles import cyk_parse_by_closure, derivable_words, derives
+from oracles import cyk_parse_by_closure, cyk_tree_by_chart, derivable_words, derives
 
 
 def test_parse_basic(anbn):
@@ -227,6 +227,27 @@ def test_cyk_parse_matches_the_closure_parse_on_random_grammars():
             found[tree is not None] += 1
     assert found[True] >= 250 and found[False] >= 200 and sum(found.values()) >= 500
     assert with_epsilon >= 5
+
+
+def test_cyk_parse_trees_match_the_unshared_chart_rebuild():
+    # The chart reference builds new nodes for every occurrence; the parse
+    # shares one leaf per terminal, and must not differ from it otherwise.
+    rng = random.Random(27)
+    found = 0
+    for k in range(60):
+        g = random_cnf_grammar(
+            rng, max_nonterminals=4, max_terminals=2, epsilon_weight=0.3 if k % 2 else 0.05
+        )
+        alphabet = sorted(g.terminals)
+        words = [tuple(rng.choices(alphabet, k=rng.randint(0, 9))) for _ in range(6)]
+        trees = (random_parse_tree(g, rng, max_depth=7) for _ in range(6))
+        words += [tree.yield_word() for tree in trees if tree is not None]
+        for word in words:
+            tree = cyk_parse(g, word)
+            reference = cyk_tree_by_chart(g, word)
+            assert tree == reference and str(tree) == str(reference), (g, word)
+            found += tree is not None
+    assert found >= 300
 
 
 def test_cnf_agreement_on_random_grammars(rng):

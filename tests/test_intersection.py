@@ -29,6 +29,7 @@ from oracles import (
     shortest_intersection_bfs,
     shortest_start_scan,
     splits_by_node_scan,
+    tree_by_steps,
     walks_up_to,
 )
 
@@ -511,6 +512,39 @@ def test_lazy_tables_match_the_tuple_word_resolution(rng):
         assert pairs == realizable_start_pairs_scan(product, table)
         nonempty += best is not None
     assert renamed >= 300 and tied >= 200 and epsilon_grammars >= 100 and nonempty >= 500
+
+
+def test_witness_trees_match_the_trees_rebuilt_from_the_tuple_word_steps(rng):
+    # Every realizable triple's witness tree, extracted in a random order
+    # from a lazy table, equals the canonical tree rebuilt node by node
+    # without shared subtrees, and prints and hashes alike.  ``shared``
+    # counts the trees in which some triple's subtree occurs twice.
+    tied = shared = 0
+    for trial in range(400):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=3, epsilon_weight=0.1)
+        if trial % 3 == 0:
+            g = rename_terminals(g, UP_DOWN_FLAT)
+        letters = sorted(g.terminals)
+        if trial % 2:
+            automaton = random_nfa(rng, rng.randint(1, 4), letters)
+        else:
+            n = rng.randint(1, 8)
+            automaton = random_graph(rng, n, letters, rng.randint(1, 3 * n))
+        product = bar_hillel(g, automaton)
+        table = shortest_words(product)
+        expected, ties = resolve_by_tuple_words(g, product.automaton.transitions, table.closure)
+        tied += ties
+        triples = list(expected)
+        rng.shuffle(triples)
+        for triple in triples:
+            tree = extract_witness(product, table, triple).tree
+            reference = tree_by_steps(expected, triple)
+            assert tree == reference and str(tree) == str(reference), (g, triple)
+            assert hash(tree) == hash(reference)
+            assert tree.yield_word() == expected[triple][0]
+            inner = [node for node in tree.iter_nodes() if node.children]
+            shared += len(set(map(id, inner))) < len(inner)
+    assert tied >= 200 and shared >= 300
 
 
 def test_lazy_table_rejects_unrealizable_triples():
