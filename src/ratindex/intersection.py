@@ -159,9 +159,13 @@ class ProductClosure:
     triple resolved so far, (production id, left, right) for a binary step
     and (production id, None, None) for an edge: a back-pointer table in
     which each word is a walk, a straight-line program in the sense of
-    Lohrey's survey of SLP-compressed strings (2012).  Words are compared
-    and returned as codes (see ``word_codec``), and a code exists only
-    where something reads it: the parts of a tied triple's splits, whose
+    Lohrey's survey of SLP-compressed strings (2012).  ``_resolve_below``
+    records steps in one walk down from the triple asked for: a triple of
+    length 1 or with one split gets its step when the walk meets it, and
+    only the ties, the triples with two or more splits, wait until the walk
+    ends and are then resolved shortest first.  Words are compared and
+    returned as codes (see ``word_codec``), and a code exists only where
+    something reads it: the parts of a tied triple's splits, whose
     concatenations the tie compares, the start triples of minimum length
     that ``least_start`` compares, and the triples handed out by ``code``.
     ``code`` is the one speller: it memoizes one code per triple, and a
@@ -338,7 +342,8 @@ class ProductClosure:
         settled, shortest first, up to the triple's length.  When every word
         of the right child has one length, its realized parts into the
         target are walked instead, and a left part must have the rest of the
-        length."""
+        length; when every word of the left child has one length too, the
+        rule is skipped unless that length is the rest."""
         head, i, j = triple
         d = self.lengths[triple]
         lengths = self.lengths
@@ -351,14 +356,19 @@ class ProductClosure:
                 for k, dl in by_source[b].get(i, ()):
                     if dl >= d:
                         break
-                    if lengths.get((c, k, j)) == d - dl:
-                        found.append((pid, (b, i, k), (c, k, j)))
+                    right = (c, k, j)
+                    if lengths.get(right) == d - dl:
+                        found.append((pid, (b, i, k), right))
             else:
                 ell, by_target = fixed
                 rest = d - ell
+                left_fixed = fixed_by_target.get(b)
+                if left_fixed is not None and left_fixed[0] != rest:
+                    continue
                 for k, _ell in by_target.get(j, ()):
-                    if lengths.get((b, i, k)) == rest:
-                        found.append((pid, (b, i, k), (c, k, j)))
+                    left = (b, i, k)
+                    if lengths.get(left) == rest:
+                        found.append((pid, left, (c, k, j)))
         return found
 
     def code(self, triple: Triple) -> str:
@@ -409,27 +419,40 @@ class ProductClosure:
 
     def _resolve_below(self, triple: Triple) -> None:
         """Resolve a realizable triple and the triples that its shortest
-        derivations may use, shortest first."""
+        derivations may use, in one walk down from it.  A triple of length 1
+        or with one split is resolved as soon as the walk meets it, as its
+        step reads no code.  Only a tie, a triple with two or more splits,
+        is held with its splits until the walk ends.  The ties are then
+        resolved shortest first: a tie's parts are shorter than it, and so
+        are the ties below them, so every code a tie compares is built from
+        resolved steps."""
         steps = self.steps
         if triple in steps:
             return
-        lengths = self.lengths
-        found_by: dict[Triple, list] = {}
+        lengths, splits, resolve = self.lengths, self.splits, self._resolve
+        ties: dict[Triple, list] = {}
         stack = [triple]
         while stack:
             t = stack.pop()
-            if t not in found_by and t not in steps:
-                # a triple of length 1 has no splits, only edges
-                found_by[t] = found = self.splits(t) if lengths[t] > 1 else []
-                for _pid, left, right in found:
-                    stack += (left, right)
-        for t in sorted(found_by, key=lengths.__getitem__):
-            self._resolve(t, found_by.pop(t))  # frees each split list once used
+            if t in steps or t in ties:
+                continue
+            if lengths[t] == 1:
+                resolve(t, [])  # a triple of length 1 has no splits, only edges
+                continue
+            found = splits(t)
+            if len(found) == 1:
+                resolve(t, found)
+            else:
+                ties[t] = found
+            for _pid, left, right in found:
+                stack += (left, right)
+        for t in sorted(ties, key=lengths.__getitem__):
+            resolve(t, ties.pop(t))  # frees each split list once used
 
     def _resolve(self, triple: Triple, splits: list[tuple[int, Triple, Triple]]) -> None:
-        """Record the canonical step of a triple from its splits, whose parts
-        are resolved.  A triple of length 1 has no splits, only edges.  Only
-        a tie reads codes: those of its splits' parts."""
+        """Record the canonical step of a triple from its splits.  A triple
+        of length 1 has no splits, only edges.  Only a tie reads codes:
+        those of its splits' parts, which must be resolved."""
         if not splits:
             self.steps[triple] = (self._edges[triple], None, None)
         elif len(splits) == 1:

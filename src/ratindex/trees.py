@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 EPSILON = "ε"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ParseTree:
     """An ordered tree of symbol labels.
 
@@ -64,8 +64,9 @@ class ParseTree:
         nodes = self.iter_nodes()
         return tuple(n.label for n in nodes if not n.children and n.label != EPSILON)
 
-    # Equality, hashing and printing walk the tree with explicit stacks, so
-    # that trees as tall as their words (CYK on a^n b^n) are handled.
+    # Equality, hashing, printing and repr walk the tree with explicit
+    # stacks, so that trees as tall as their words (CYK on a^n b^n) are
+    # handled.
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -101,6 +102,25 @@ class ParseTree:
                     if k:
                         stack.append(" ")
                     stack.append(child)
+        return "".join(out)
+
+    def __repr__(self) -> str:
+        """The text of the dataclass repr, such as ``ParseTree(label='S',
+        children=(ParseTree(label='a', children=()),))``."""
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append("%s(label=%r, children=(" % (type(item).__qualname__, item.label))
+            children = item.children
+            stack.append(",))" if len(children) == 1 else "))")
+            for k, child in enumerate(reversed(children)):
+                if k:
+                    stack.append(", ")
+                stack.append(child)
         return "".join(out)
 
 

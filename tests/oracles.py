@@ -7,6 +7,7 @@ algorithms under test.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 from collections import deque
@@ -302,6 +303,29 @@ def resolve_by_tuple_words(g: CNFGrammar, transitions, closure) -> dict:
     return entries, tied
 
 
+def resolve_below_two_pass(closure: ProductClosure, triple) -> None:
+    """Reference for ``ProductClosure._resolve_below``: the two-pass
+    resolver.  The first pass finds every unresolved triple below
+    ``triple`` and keeps its split list (none for a triple of length 1);
+    the second sorts all of them by length and hands each to
+    ``closure._resolve``, shortest first.  Assign it, bound, to a closure's
+    ``_resolve_below`` to make ``code`` and ``path_and_word`` use it."""
+    steps = closure.steps
+    if triple in steps:
+        return
+    lengths = closure.lengths
+    found_by: dict = {}
+    stack = [triple]
+    while stack:
+        t = stack.pop()
+        if t not in found_by and t not in steps:
+            found_by[t] = found = closure.splits(t) if lengths[t] > 1 else []
+            for _pid, left, right in found:
+                stack += (left, right)
+    for t in sorted(found_by, key=lengths.__getitem__):
+        closure._resolve(t, found_by.pop(t))
+
+
 def tree_by_steps(entries: dict, root) -> ParseTree:
     """Reference for witness trees: the canonical tree of ``root`` rebuilt
     node by node from ``resolve_by_tuple_words`` entries.  Every occurrence
@@ -319,6 +343,21 @@ def tree_by_steps(entries: dict, root) -> ParseTree:
             right_tree = done.pop()
             done.append(ParseTree(triple[0], [done.pop(), right_tree]))
     return done.pop()
+
+
+_DataclassTree = dataclasses.make_dataclass("ParseTree", ["label", "children"], frozen=True)
+
+
+def repr_by_dataclass(tree: ParseTree) -> str:
+    """Reference for ``ParseTree.__repr__``: the repr that ``dataclasses``
+    generates for a class named ParseTree with the fields label and
+    children, taken of a copy of ``tree``.  Recurses with the height of the
+    tree, so it is for small trees only."""
+
+    def copy(node):
+        return _DataclassTree(node.label, tuple(copy(child) for child in node.children))
+
+    return repr(copy(tree))
 
 
 def cyk_tree_by_chart(g: CNFGrammar, word):

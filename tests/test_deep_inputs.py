@@ -29,8 +29,8 @@ from ratindex.grammar import (
     to_cnf,
 )
 from ratindex.graphs import NFA, LabeledGraph
-from ratindex.intersection import bar_hillel, extract_witness, shortest_words
-from ratindex.measure import TwoCycle, measure_rho
+from ratindex.intersection import ProductClosure, bar_hillel, extract_witness, shortest_words
+from ratindex.measure import TwoCycle, measure_rho, two_cycle_family
 from ratindex.reachability import all_pairs_reach, witness
 from ratindex.trees import ParseTree, dimension
 from ratindex.wellnested import WellNestedWord, harmonic, matching_pairs, oscillation
@@ -79,6 +79,14 @@ def test_deep_tree_equality_hash_and_str(depth):
     assert len({tree, twin}) == 1
 
 
+def test_deep_tree_repr():
+    # the dataclass repr, 3,000 levels deep, under the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    text = repr(unary_tree(3000))
+    assert text == "ParseTree(label='A', children=(" * 3000 + (
+        "ParseTree(label='a', children=())" + ",))" * 3000)
+
+
 @pytest.mark.parametrize("p, q, value", [(23, 29, 1334), (31, 37, 2294)])
 def test_measure_rho_long_two_cycles(anbn_cnf, p, q, value):
     estimate = measure_rho(anbn_cnf, p + q, TwoCycle(p, q))
@@ -113,6 +121,24 @@ def test_measure_rho_two_cycle_witness_memory(anbn_cnf, p, q, value, bound):
     assert estimate.value == value
     assert estimate.witness_word == ("a",) * (value // 2) + ("b",) * (value // 2)
     assert peak < bound
+
+
+def test_two_cycle_least_start_transient_memory(anbn_cnf):
+    # Resolving the 33,274-symbol witness holds no split list per triple
+    # below it: what resolution allocates and frees again (3.4 MB when every
+    # triple kept one, sorted by length) stays small next to the steps and
+    # the code that it keeps.
+    nfa = two_cycle_family(127, 131)
+    stop = (nfa.initial, nfa.accepting, 258)
+    closure = ProductClosure(anbn_cnf, nfa.transitions, stop=stop)
+    tracemalloc.start()
+    try:
+        best = closure.least_start(*stop)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert best[0] == 33274
+    assert peak - held < 1_500_000
 
 
 @pytest.mark.parametrize("pairs, value", [("23:29", 1334), ("31:37", 2294)])

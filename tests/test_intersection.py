@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 import ratindex.intersection
@@ -25,6 +27,7 @@ from oracles import (
     realizable_start_pairs_scan,
     reference_closure,
     rename_terminals,
+    resolve_below_two_pass,
     resolve_by_tuple_words,
     shortest_intersection_bfs,
     shortest_start_scan,
@@ -758,3 +761,55 @@ def test_a_stopped_closure_settles_what_its_answer_reads(rng):
             assert all(d > shortest for t, d in stopped.lengths.items() if t not in settled)
             tied += starts.count(shortest) > 1
     assert below >= 100 and above >= 80 and empty >= 100 and tied >= 30
+
+
+def test_one_pass_resolution_matches_the_two_pass_oracle(rng):
+    # Every settled triple of each closure, read in a random order, has the
+    # steps, code and path of the two-pass resolver, read shortest first on
+    # a twin closure.  Random grammars over random graphs and NFAs, then
+    # stopped closures over two-cycle automata, half of them with a grammar
+    # whose words a^m b^m have many derivations; ``tied`` counts the
+    # closures with a triple of two or more splits.
+    ambiguous = to_cnf(parse_grammar("S -> a S b | a a S b b | a b | A S\nA -> a A | a\n"))
+    tied = stopped = 0
+    for trial in range(750):
+        stop = None
+        if trial % 3 == 2:
+            g = ambiguous if trial % 2 else random_cnf_grammar(
+                rng, max_nonterminals=4, max_terminals=2, epsilon_weight=0.05)
+            nfa = two_cycle_family(rng.randint(1, 7), rng.randint(1, 7))
+            transitions = nfa.transitions
+            stop = (nfa.initial, nfa.accepting, rng.randint(0, 16))
+            stopped += 1
+        else:
+            g = random_cnf_grammar(rng, max_nonterminals=4, max_terminals=3, epsilon_weight=0.1)
+            letters = sorted(g.terminals)
+            if trial % 3:
+                transitions = random_nfa(rng, rng.randint(2, 6), letters, 0.5).transitions
+            else:
+                n = rng.randint(2, 10)
+                transitions = random_graph(rng, n, letters, rng.randint(n, 3 * n)).edges
+        closure = ProductClosure(g, transitions, stop=stop)
+        oracle = ProductClosure(g, transitions, stop=stop)
+        oracle._resolve_below = functools.partial(resolve_below_two_pass, oracle)
+        lengths = settled_lengths(closure)
+        expected = {
+            t: (oracle.code(t), oracle.path_and_word(t))
+            for t in sorted(lengths, key=lengths.__getitem__)
+        }
+        triples = list(lengths)
+        rng.shuffle(triples)
+        for n, t in enumerate(triples):
+            # the path first on every other triple, the code first on the rest
+            if n % 2:
+                path = closure.path_and_word(t)
+                code = closure.code(t)
+            else:
+                code = closure.code(t)
+                path = closure.path_and_word(t)
+            assert (code, path) == expected[t]
+        assert closure.steps == oracle.steps
+        if stop is not None:
+            assert closure.least_start(*stop) == oracle.least_start(*stop)
+        tied += any(len(closure.splits(t)) > 1 for t in triples)
+    assert tied >= 300 and stopped >= 150

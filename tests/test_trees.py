@@ -11,8 +11,11 @@ import pytest
 from ratindex.grammar import cyk_parse, parse_grammar, to_cnf
 from ratindex.intersection import bar_hillel, extract_witness, shortest_start, shortest_words
 from ratindex.measure import two_cycle_family
+from ratindex.sampling import random_grammar, random_parse_tree
 from ratindex.trees import EPSILON, ParseTree, dimension
 from ratindex.wellnested import alpha_of_tree, oscillation
+
+from oracles import repr_by_dataclass
 
 
 def unshared(tree):
@@ -58,6 +61,22 @@ def test_a_tree_is_frozen_and_slotted():
         del tree.label
     assert not hasattr(tree, "__dict__")
     assert [f.name for f in dataclasses.fields(ParseTree)] == ["label", "children"]
+
+
+def test_repr_is_the_dataclass_repr(rng):
+    # seeded random parse trees: leaves, empty-word leaves, and nodes of one
+    # to three children, some of them shared
+    leaf = ParseTree("a")
+    trees = [leaf, ParseTree("S", [leaf]), ParseTree("S", [ParseTree(EPSILON)]),
+             ParseTree("S", [leaf, leaf]), ParseTree("S", [leaf, ParseTree("T", [leaf]), leaf])]
+    while len(trees) < 200:
+        tree = random_parse_tree(random_grammar(rng, max_body=3, epsilon_weight=0.2), rng, 6)
+        if tree is not None:
+            trees.append(tree)
+    for tree in trees:
+        assert repr(tree) == repr_by_dataclass(tree)
+        assert eval(repr(tree), {"ParseTree": ParseTree}) == tree
+    assert {len(node.children) for tree in trees for node in tree.iter_nodes()} == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize(
