@@ -66,7 +66,7 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_shortest(args) -> int:
-    from .intersection import bar_hillel, extract_witness, shortest_start, shortest_words
+    from .intersection import bar_hillel, shortest_start, shortest_words
 
     g = to_cnf(_load_grammar(args.grammar))
     product = bar_hillel(g, _load_automaton(args))
@@ -78,8 +78,8 @@ def cmd_shortest(args) -> int:
     length, word, triple = best
     print("%d\t%s" % (length, format_word(word)))
     if args.witness and triple is not None:
-        witness = extract_witness(product, table, triple)
-        print("path\t%s" % " ".join(witness.path))
+        path, _word = table.closure.path_and_word(triple)
+        print("path\t%s" % " ".join(path))
     return 0
 
 

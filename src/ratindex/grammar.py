@@ -640,7 +640,7 @@ def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
             if k is not None:
                 return (b, i, k), (c, k, j)
 
-    return intersection.derivation_tree((g.start, 0, len(w)), parts)
+    return intersection.derivation_tree((g.start, 0, len(w)), parts, {})
 
 
 def is_valid_parse_tree(g: Grammar, tree: ParseTree, require_start: bool = False) -> bool:

@@ -339,8 +339,11 @@ class ProductClosure:
         """The binary steps (production id, left, right) that derive a
         realizable triple at its shortest length.  Per rule, the realized
         left parts (``by_source``) are walked in the order they were
-        settled, shortest first, up to the triple's length.  When every word
-        of the right child has one length, its realized parts into the
+        settled, shortest first, up to the triple's length, and a split node
+        k is probed only if the right child has a row at k.  On a stopped
+        closure that row is there for every split the full closure has: the
+        right part is shorter than the triple, so it is settled.  When every
+        word of the right child has one length, its realized parts into the
         target are walked instead, and a left part must have the rest of the
         length; when every word of the left child has one length too, the
         rule is skipped unless that length is the rest."""
@@ -353,9 +356,12 @@ class ProductClosure:
         for pid, b, c in self._pair_rules.get(head, ()):
             fixed = fixed_by_target.get(c)
             if fixed is None:
+                right_rows = by_source[c]
                 for k, dl in by_source[b].get(i, ()):
                     if dl >= d:
                         break
+                    if k not in right_rows:
+                        continue  # no word of C starts at k
                     right = (c, k, j)
                     if lengths.get(right) == d - dl:
                         found.append((pid, (b, i, k), right))
@@ -550,12 +556,21 @@ class ShortestTable(Mapping[Triple, ShortestEntry]):
     The table keeps its ``ProductClosure`` for that and keeps no entry:
     each read builds a new, equal one.  As a ``Mapping`` it is false when
     empty, equal to a mapping with the same entries (which resolves both),
-    and unhashable."""
+    and unhashable.
 
-    __slots__ = ("closure",)
+    The table also keeps the witness trees it has built (see
+    ``extract_witness``): one subtree per triple of an extracted witness,
+    and one leaf per terminal.  The canonical steps form one straight-line
+    program, so witnesses of one table share every common sub-derivation,
+    and each subtree is built once and then reused as the same object."""
+
+    __slots__ = ("closure", "_trees")
 
     def __init__(self, closure: ProductClosure):
         self.closure = closure
+        # The witness subtree of each triple built so far, and the leaf of
+        # each terminal (see ``derivation_tree``).
+        self._trees: dict = {}
 
     @property
     def entries(self) -> ShortestTable:
@@ -582,13 +597,15 @@ class ShortestTable(Mapping[Triple, ShortestEntry]):
         return frozenset(self.closure.lengths)
 
 
-def derivation_tree(root: Triple, parts: Callable[[Triple], tuple]) -> ParseTree:
-    """The parse tree of a derivation in the base grammar.  ``parts(t)`` is
-    (left, right) for a binary step and (terminal,) for an edge step.  Built
-    without recursion; ``parts`` is called once per distinct triple, a
-    triple used twice shares its subtree, and each terminal has one leaf."""
-    trees: dict[Triple, ParseTree] = {}
-    leaves: dict[str, ParseTree] = {}
+def derivation_tree(root: Triple, parts: Callable[[Triple], tuple], trees: dict) -> ParseTree:
+    """The parse tree of a derivation in the base grammar, built into
+    ``trees``: a dict from triples to their subtrees and from terminals to
+    their leaves, which the call extends.  ``parts(t)`` is (left, right)
+    for a binary step and (terminal,) for an edge step.  Built without
+    recursion; a triple already in ``trees`` keeps its subtree, ``parts``
+    is called once per triple new to it, a triple used twice shares its
+    subtree, and each terminal has one leaf.  Callers that share ``trees``
+    must derive each triple alike."""
     stack: list[tuple[Triple, tuple | None]] = [(root, None)]
     while stack:
         triple, below = stack.pop()
@@ -603,9 +620,9 @@ def derivation_tree(root: Triple, parts: Callable[[Triple], tuple]) -> ParseTree
                 stack.append((below[1], None))
             else:
                 terminal = below[0]
-                leaf = leaves.get(terminal)
+                leaf = trees.get(terminal)
                 if leaf is None:
-                    leaf = leaves[terminal] = ParseTree(terminal)
+                    leaf = trees[terminal] = ParseTree(terminal)
                 trees[triple] = ParseTree(triple[0], (leaf,))
     return trees[root]
 
@@ -627,7 +644,11 @@ class Witness:
 
 def extract_witness(tg: TripleGrammar, table: ShortestTable, triple: Triple) -> Witness:
     """Shortest word, its parse tree in the base grammar, and a graph path
-    spelling it.  Raises UnrealizableTripleError for absent triples."""
+    spelling it.  Raises UnrealizableTripleError for absent triples.  The
+    tree is built into the table's memo of witness trees (see
+    ``ShortestTable``): a subtree that an earlier witness of the same table
+    built is reused as the same object, and the returned tree may be one
+    such subtree."""
     if triple not in table:
         raise UnrealizableTripleError("triple %r derives no word" % (triple,))
     closure = table.closure
@@ -641,7 +662,7 @@ def extract_witness(tg: TripleGrammar, table: ShortestTable, triple: Triple) -> 
             return productions[pid].rhs  # the edge's terminal
         return left, right
 
-    tree = derivation_tree(triple, parts)
+    tree = derivation_tree(triple, parts, table._trees)
     return Witness(word, tree, path)
 
 

@@ -427,7 +427,7 @@ def cyk_parse_by_closure(g: CNFGrammar, word):
         _pid, left, right = min(product.splits(triple))
         return left, right
 
-    return derivation_tree(root, parts)
+    return derivation_tree(root, parts, {})
 
 
 def splits_by_node_scan(g: CNFGrammar, lengths, nodes, triple) -> list:

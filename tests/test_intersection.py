@@ -813,3 +813,154 @@ def test_one_pass_resolution_matches_the_two_pass_oracle(rng):
             assert closure.least_start(*stop) == oracle.least_start(*stop)
         tied += any(len(closure.splits(t)) > 1 for t in triples)
     assert tied >= 300 and stopped >= 150
+
+
+def test_splits_probe_only_split_nodes_where_the_right_child_has_a_row():
+    # Dyck two-cycle closures, full and stopped as the sweeps stop them:
+    # ``splits`` finds the splits of the node scan on every settled triple.
+    # Over the witnesses' triples, a rule whose right child has words of
+    # several lengths probes ``lengths`` only at the split nodes k where
+    # that child has a row, not at every left part (B, i, k) it walks.
+    dyck = to_cnf(parse_grammar("S -> S S | a S b | a b\n"))
+    fixed = dyck.fixed_lengths
+    walked = probed = 0
+    probes = []
+
+    class CountingLengths(dict):
+        def get(self, key, default=None):
+            probes.append(key)
+            return dict.get(self, key, default)
+
+    for p, q in ((3, 4), (5, 7), (7, 9), (11, 13)):
+        nfa = two_cycle_family(p, q)
+        for stop in (None, (nfa.initial, nfa.accepting, 0)):
+            closure = ProductClosure(dyck, nfa.transitions, stop=stop)
+            closure.least_start(nfa.initial, nfa.accepting)
+            settled = settled_lengths(closure)
+            for t in settled:
+                assert sorted(closure.splits(t)) == splits_by_node_scan(
+                    dyck, settled, nfa.states, t
+                )
+            closure.lengths = CountingLengths(closure.lengths)
+            for (head, i, j), d in settled.items():
+                if (head, i, j) not in closure.steps or d == 1:
+                    continue
+                del probes[:]
+                closure.splits((head, i, j))
+                expected = []
+                for _pid, b, c in closure._pair_rules.get(head, ()):
+                    if c in fixed:  # walks the right parts into j instead
+                        if fixed.get(b, d - fixed[c]) == d - fixed[c]:
+                            row = closure._fixed_by_target[c][1].get(j, ())
+                            expected += [(b, i, k) for k, _ell in row]
+                        continue
+                    parts = [k for k, dl in closure.by_source[b].get(i, ()) if dl < d]
+                    right = [(c, k, j) for k in parts if k in closure.by_source[c]]
+                    expected += right
+                    walked += len(parts)
+                    probed += len(right)
+                assert probes == expected
+    assert 0 < probed < walked // 2
+
+
+def _anbn_chain_product(g, k):
+    """The product of g with a path c0 -> ... -> c(2k) spelling a^k b^k."""
+    edges = [("c%d" % i, "a" if i < k else "b", "c%d" % (i + 1)) for i in range(2 * k)]
+    return bar_hillel(g, LabeledGraph.from_edges(edges))
+
+
+def _subtrees_by_span(tree):
+    """Each internal node of a tree by (label, start, end) of its yield."""
+    sizes = {}
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not node.children:
+            sizes[id(node)] = 1
+        elif expanded:
+            sizes[id(node)] = sum(sizes[id(c)] for c in node.children)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children)
+    found = {}
+    stack = [(tree, 0)]
+    while stack:
+        node, start = stack.pop()
+        if node.children:
+            found[(node.label, start, start + sizes[id(node)])] = node
+            for child in node.children:
+                stack.append((child, start))
+                start += sizes[id(child)]
+    return found
+
+
+def test_witnesses_of_one_table_reuse_the_subtrees_it_built(anbn_cnf):
+    # The outer witness (S, c0, c2k) of an a^k b^k chain holds every inner
+    # (S, c(k-j), c(k+j)); extracted later from the same table, each inner
+    # tree is that very subtree.  Extracted innermost first from a second
+    # table, the trees are equal, and the outer one holds the inner ones.
+    k = 150
+    product = _anbn_chain_product(anbn_cnf, k)
+    table = shortest_words(product)
+    expected, _ = resolve_by_tuple_words(anbn_cnf, product.automaton.transitions, table.closure)
+    triples = [("S", "c%d" % (k - j), "c%d" % (k + j)) for j in (k, 100, 37, 2, 1)]
+    outer = extract_witness(product, table, triples[0]).tree
+    spans = _subtrees_by_span(outer)
+    for triple in triples:
+        tree = extract_witness(product, table, triple).tree
+        _head, i, j = triple
+        assert tree is spans[("S", int(i[1:]), int(j[1:]))]
+        assert tree == tree_by_steps(expected, triple)
+    again = shortest_words(product)
+    reversed_trees = {t: extract_witness(product, again, t).tree for t in reversed(triples)}
+    spans = _subtrees_by_span(reversed_trees[triples[0]])
+    for triple in triples:
+        tree = reversed_trees[triple]
+        _head, i, j = triple
+        assert tree is spans[("S", int(i[1:]), int(j[1:]))]
+        assert tree == extract_witness(product, table, triple).tree
+        assert str(tree) == str(tree_by_steps(expected, triple))
+
+
+def test_two_tables_over_one_product_build_independent_trees(anbn_cnf):
+    product = _anbn_chain_product(anbn_cnf, 40)
+    first, second = shortest_words(product), shortest_words(product)
+    for triple in (("S", "c0", "c80"), ("S", "c30", "c50")):
+        one = extract_witness(product, first, triple).tree
+        other = extract_witness(product, second, triple).tree
+        assert one == other and str(one) == str(other)
+        assert {id(n) for n in one.iter_nodes()}.isdisjoint(id(n) for n in other.iter_nodes())
+
+
+def test_a_table_builds_one_node_per_extracted_triple_and_one_leaf_per_terminal(rng):
+    # Once every realizable triple is extracted, in a random order, the
+    # table's memo holds one subtree per triple and one leaf per terminal
+    # that the witnesses use, and the witness trees consist of those nodes
+    # and no others.
+    shared = 0
+    for trial in range(200):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=3, epsilon_weight=0.1)
+        letters = sorted(g.terminals)
+        if trial % 2:
+            automaton = random_nfa(rng, rng.randint(1, 4), letters)
+        else:
+            n = rng.randint(1, 8)
+            automaton = random_graph(rng, n, letters, rng.randint(1, 3 * n))
+        product = bar_hillel(g, automaton)
+        table = shortest_words(product)
+        expected, _ = resolve_by_tuple_words(g, product.automaton.transitions, table.closure)
+        triples = list(expected)
+        rng.shuffle(triples)
+        nodes = set()
+        for triple in triples:
+            tree = extract_witness(product, table, triple).tree
+            assert tree == tree_by_steps(expected, triple)
+            before = len(nodes)
+            nodes.update(id(n) for n in tree.iter_nodes())
+            shared += len(nodes) - before < tree.node_count()
+        memo = table._trees
+        assert {key for key in memo if isinstance(key, tuple)} == set(expected)
+        assert {key for key in memo if isinstance(key, str)} <= g.terminals
+        assert len(memo) <= len(table.realizable()) + len(g.terminals)
+        assert nodes == {id(node) for node in memo.values()}
+    assert shared >= 100
