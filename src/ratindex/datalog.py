@@ -190,13 +190,11 @@ def chain_to_cfg(program: ChainProgram) -> Grammar:
     wrapper production P -> p for every capitalized database predicate (p
     its lowercased edge label); already-lowercase database predicates are
     used as terminals directly.  The start symbol is the query predicate."""
-    heads = {r.head for r in program.rules}
-    wrapped = {p for p in program.edge_predicates if p != p.lower()}
-    nonterminals = frozenset(heads | wrapped)
+    wrapped = program.idb & program.edge_predicates
     label_sources: dict[str, str] = {}
     for pred in sorted(program.edge_predicates):
         label = pred.lower()
-        if label in nonterminals:
+        if label in program.idb:
             raise NameCollisionError(
                 "edge label %r collides with a predicate name" % label
             )
@@ -209,13 +207,13 @@ def chain_to_cfg(program: ChainProgram) -> Grammar:
     terminals = set(label_sources)
     productions = []
     for rule in program.rules:
-        body = tuple(s if s in nonterminals else s.lower() for s in rule.body)
+        body = tuple(s if s in program.idb else s.lower() for s in rule.body)
         productions.append(Production(rule.head, body))
     for pred in sorted(wrapped):
         productions.append(Production(pred, (pred.lower(),)))
     return Grammar(
         terminals=frozenset(terminals),
-        nonterminals=nonterminals,
+        nonterminals=program.idb,
         productions=tuple(productions),
         start=program.query,
     )

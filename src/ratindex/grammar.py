@@ -332,11 +332,6 @@ def parse_grammar(text: str) -> Grammar:
                 raise GrammarSyntaxError("unexpected %r" % value, lineno, col)
         productions.extend(Production(lhs, tuple(body)) for body in alternatives)
 
-    clash = terminals & heads
-    if clash:
-        raise DuplicateSymbolError(
-            "symbols used as both terminal and nonterminal: %s" % sorted(clash)
-        )
     return Grammar(
         terminals=frozenset(terminals),
         nonterminals=frozenset(heads),
@@ -466,38 +461,21 @@ def _fresh_names(base: str, used: set[str]) -> Iterator[str]:
             yield candidate
 
 
-def _drop_nullable(
-    rhs: tuple[str, ...], nullable: frozenset[str]
-) -> Iterator[tuple[str, ...]]:
+def _drop_nullable(rhs: tuple[str, ...], nullable: frozenset[str]) -> list[tuple[str, ...]]:
     """The distinct bodies left by dropping some nullable occurrences of a
     body, in the order of their first appearance over the drop masks 0, 1,
     2, ... (bit b drops the b-th nullable occurrence).
 
-    A depth-first walk decides the occurrences from the last one back,
-    keeping before dropping, which visits the masks in that order.  A state
-    is the number of occurrences still to decide and the suffix decided so
-    far; what follows a state depends on nothing else, so a state seen
-    before adds no new body and is pruned.  For k occurrences of one symbol
-    there are O(k^2) states instead of 2^k masks.
+    Each symbol in turn extends every body built so far; a nullable one
+    gives first the bodies that keep it, then those that drop it, as its
+    bit is the highest yet.  Repeats are removed after each step, which
+    keeps first appearances and, for k copies of one symbol, k + 1 bodies.
     """
-    positions = [i for i, s in enumerate(rhs) if s in nullable]
-    # cuts[b]: where the body goes on after its b-th nullable occurrence.
-    cuts = [0] + [p + 1 for p in positions]
-    seen: set[tuple[int, tuple[str, ...]]] = set()
-    stack = [(len(positions), rhs[cuts[-1]:])]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        b, suffix = state
-        if not b:
-            yield suffix
-            continue
-        p = positions[b - 1]
-        between = rhs[cuts[b - 1]:p]
-        stack.append((b - 1, between + suffix))
-        stack.append((b - 1, between + (rhs[p],) + suffix))
+    bodies: list[tuple[str, ...]] = [()]
+    for sym in rhs:
+        kept = [body + (sym,) for body in bodies]
+        bodies = list(dict.fromkeys(kept + bodies)) if sym in nullable else kept
+    return bodies
 
 
 def to_cnf(g: Grammar) -> CNFGrammar:
@@ -644,29 +622,21 @@ def cyk_parse(g: CNFGrammar, word: Sequence[str]) -> ParseTree | None:
 
 
 def is_valid_parse_tree(g: Grammar, tree: ParseTree, require_start: bool = False) -> bool:
-    """Check that every internal node applies a production of the grammar."""
+    """Check that the tree is a derivation in the grammar: every internal
+    node applies a production to its children's labels (the rule (label,
+    ()) when its only child is labelled ``ε``), every leaf is a terminal or
+    ``ε``, and with ``require_start`` the root is the start symbol.  Every
+    node is checked, those below an ``ε`` child too."""
     if require_start and tree.label != g.start:
         return False
     rules = {(p.lhs, p.rhs) for p in g.productions}
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            if node.label == EPSILON:
-                continue
-            if node.label not in g.terminals:
-                return False
-            continue
-        if node.label not in g.nonterminals:
-            return False
-        if len(node.children) == 1 and node.children[0].label == EPSILON:
-            if (node.label, ()) not in rules:
-                return False
-            continue
+    for node in tree.iter_nodes():
         body = tuple(c.label for c in node.children)
-        if (node.label, body) not in rules:
+        if body:
+            if (node.label, () if body == (EPSILON,) else body) not in rules:
+                return False
+        elif node.label != EPSILON and node.label not in g.terminals:
             return False
-        stack.extend(node.children)
     return True
 
 

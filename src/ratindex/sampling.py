@@ -52,24 +52,16 @@ def random_parse_tree(g: Grammar, rng: random.Random, max_depth: int = 12) -> Pa
     if heights[g.start] > max_depth:
         return None
     index = g.by_lhs()
+    need = {p: 1 + max([heights[s] for s in p.rhs], default=0) for p in g.productions}
 
     def expand(symbol: str, budget: int) -> ParseTree:
         if symbol in g.terminals:
             return ParseTree(symbol)
-        rules = index[symbol]
-        feasible = [
-            p
-            for _, p in rules
-            if 1 + max([heights[s] for s in p.rhs], default=0) <= budget
-        ]
+        feasible = [p for _, p in index[symbol] if need[p] <= budget]
         assert feasible, "no production fits the depth budget"
         if rng.random() < 0.25:
-            low = min(1 + max([heights[s] for s in p.rhs], default=0) for p in feasible)
-            feasible = [
-                p
-                for p in feasible
-                if 1 + max([heights[s] for s in p.rhs], default=0) == low
-            ]
+            low = min(need[p] for p in feasible)
+            feasible = [p for p in feasible if need[p] == low]
         prod = rng.choice(feasible)
         if not prod.rhs:
             return ParseTree(symbol, (ParseTree(EPSILON),))

@@ -1021,3 +1021,46 @@ def random_nfa_by_comprehension(rng, n_states: int, alphabet, density: float = 0
     return NFA(
         frozenset(states), frozenset(alphabet), frozenset(transitions), initial, accepting
     )
+
+
+def drop_nullable_by_masks(rhs, nullable) -> list[tuple[str, ...]]:
+    """Reference for ``grammar._drop_nullable``: every drop mask 0, 1, ...,
+    2^k - 1 over the k nullable occurrences of the body (bit b drops the
+    b-th one), each body kept at its first appearance."""
+    positions = [i for i, s in enumerate(rhs) if s in nullable]
+    bodies = {}
+    for mask in range(1 << len(positions)):
+        dropped = {p for b, p in enumerate(positions) if mask >> b & 1}
+        bodies.setdefault(tuple(s for i, s in enumerate(rhs) if i not in dropped), None)
+    return list(bodies)
+
+
+def is_valid_parse_tree_by_stack(g: Grammar, tree: ParseTree, require_start: bool = False) -> bool:
+    """Reference for ``grammar.is_valid_parse_tree`` with its own stack: a
+    leaf is a terminal or ``ε``, and an internal node is a nonterminal that
+    applies a production, the rule (label, ()) when its only child is an
+    ``ε``.  It does not descend below such a child, so a tree whose ``ε``
+    has children of its own may pass here and fail there."""
+    if require_start and tree.label != g.start:
+        return False
+    rules = {(p.lhs, p.rhs) for p in g.productions}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            if node.label == EPSILON:
+                continue
+            if node.label not in g.terminals:
+                return False
+            continue
+        if node.label not in g.nonterminals:
+            return False
+        if len(node.children) == 1 and node.children[0].label == EPSILON:
+            if (node.label, ()) not in rules:
+                return False
+            continue
+        body = tuple(c.label for c in node.children)
+        if (node.label, body) not in rules:
+            return False
+        stack.extend(node.children)
+    return True

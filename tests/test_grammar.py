@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from ratindex.grammar import (
     Production,
     SymbolNotInAlphabetError,
     UndeclaredSymbolError,
+    _drop_nullable,
     cyk_membership,
     cyk_parse,
     format_word,
@@ -22,10 +24,18 @@ from ratindex.grammar import (
     parse_word,
     to_cnf,
 )
-from ratindex.sampling import random_cnf_grammar, random_grammar, random_parse_tree
-from ratindex.trees import EPSILON
+from ratindex.intersection import bar_hillel, extract_witness, shortest_words
+from ratindex.sampling import random_cnf_grammar, random_grammar, random_nfa, random_parse_tree
+from ratindex.trees import EPSILON, ParseTree
 
-from oracles import cyk_parse_by_closure, cyk_tree_by_chart, derivable_words, derives
+from oracles import (
+    cyk_parse_by_closure,
+    cyk_tree_by_chart,
+    derivable_words,
+    derives,
+    drop_nullable_by_masks,
+    is_valid_parse_tree_by_stack,
+)
 
 
 def test_parse_basic(anbn):
@@ -373,3 +383,144 @@ def test_rule_index_lists_every_rule_once_per_role(rng):
             assert ids == sorted(ids)
             listed += ids
         assert sorted(listed) == sorted(2 * [pid for pid, _p in binary])
+
+
+def test_drop_nullable_matches_the_mask_enumeration():
+    # Bodies of up to 10 symbols, about half of them nullable and some
+    # repeated, so that many masks give one body.
+    rng = random.Random(30)
+    nullable = frozenset("ABC")
+    repeats = 0
+    for _ in range(5000):
+        rhs = tuple(rng.choices("ABCDab", k=rng.randint(0, 10)))
+        expected = drop_nullable_by_masks(rhs, nullable)
+        assert list(_drop_nullable(rhs, nullable)) == expected, rhs
+        repeats += len(expected) < 2 ** sum(s in nullable for s in rhs)
+    assert repeats >= 1500
+
+
+def test_drop_nullable_of_one_repeated_symbol_drops_one_more_at_a_time():
+    a200 = ("A",) * 200
+    assert list(_drop_nullable(a200, frozenset("A"))) == [("A",) * k for k in range(200, -1, -1)]
+    # A^50 b A^50: 51 * 51 bodies, each once, A^50 b A^50 first and b last
+    bodies = list(_drop_nullable(("A",) * 50 + ("b",) + ("A",) * 50, frozenset("A")))
+    assert len(bodies) == len(set(bodies)) == 51 * 51
+    assert bodies[0] == ("A",) * 50 + ("b",) + ("A",) * 50 and bodies[-1] == ("b",)
+
+
+def test_to_cnf_output_is_pinned_on_random_grammars():
+    # Production order fixes production ids, and with them tie-breaking in
+    # every product, so the digest covers it along with the nonterminals,
+    # the start symbol and epsilon_at_start.
+    rng = random.Random(30)
+    found = []
+    for _ in range(2000):
+        g = random_grammar(
+            rng, max_nonterminals=5, max_terminals=3, max_body=6, epsilon_weight=0.3
+        )
+        cnf = to_cnf(g)
+        found.append(repr(
+            (cnf.productions, sorted(cnf.nonterminals), cnf.start, cnf.epsilon_at_start)
+        ))
+    assert hashlib.sha256("\n".join(found).encode()).hexdigest() == (
+        "5acb469c3752a7c89599116c8c530d10eb0dc2a99856af246b56ed2506e4ded2"
+    )
+
+
+def _nodes_with_paths(tree):
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((path + (k,), child) for k, child in enumerate(node.children))
+
+
+def _replace(tree, path, node):
+    if not path:
+        return node
+    children = list(tree.children)
+    children[path[0]] = _replace(children[path[0]], path[1:], node)
+    return ParseTree(tree.label, children)
+
+
+def _mutants(g, tree, rng):
+    """Trees one edit away from ``tree``: a relabelled node, a dropped or an
+    added child, an ``ε`` leaf beside a sibling, an ``ε`` leaf under a head
+    with no ε rule, and an ``ε`` root."""
+    nodes = list(_nodes_with_paths(tree))
+    inner = [(path, node) for path, node in nodes if node.children]
+    labels = sorted(g.terminals | g.nonterminals | {EPSILON})
+    terminals = sorted(g.terminals)
+    no_epsilon = [
+        (path, node) for path, node in nodes
+        if node.label in g.nonterminals and (node.label, ()) not in g.productions
+    ]
+    out = [ParseTree(EPSILON)]
+    path, node = rng.choice(nodes)
+    out.append(_replace(tree, path, ParseTree(rng.choice(labels), node.children)))
+    if inner:
+        path, node = rng.choice(inner)
+        k = rng.randrange(len(node.children))
+        out.append(_replace(tree, path, ParseTree(
+            node.label, node.children[:k] + node.children[k + 1:]
+        )))
+        for leaf in ParseTree(rng.choice(terminals)), ParseTree(EPSILON):
+            k = rng.randint(0, len(node.children))
+            out.append(_replace(tree, path, ParseTree(
+                node.label, node.children[:k] + (leaf,) + node.children[k:]
+            )))
+    if no_epsilon:
+        path, node = rng.choice(no_epsilon)
+        out.append(_replace(tree, path, ParseTree(node.label, (ParseTree(EPSILON),))))
+    return out
+
+
+def _check_against_the_stack_walk(g, tree, verdicts):
+    """The two checks agree, except on a tree with an ``ε`` node that has
+    children, which only the iter_nodes check rejects for sure."""
+    epsilon_above = any(n.label == EPSILON and n.children for n in tree.iter_nodes())
+    for require_start in (False, True):
+        found = is_valid_parse_tree(g, tree, require_start)
+        if epsilon_above:
+            assert not found, (g, tree)
+        else:
+            assert found == is_valid_parse_tree_by_stack(g, tree, require_start), (g, tree)
+        verdicts[found] += 1
+
+
+def test_is_valid_parse_tree_agrees_with_the_stack_walk():
+    rng = random.Random(31)
+    valid = {True: 0, False: 0}
+    mutated = {True: 0, False: 0}
+    sources = {"sampled": 0, "cyk": 0, "witness": 0}
+    for k in range(60):
+        g = random_grammar(rng, max_nonterminals=4, max_terminals=3, epsilon_weight=0.3)
+        cnf = to_cnf(g)
+        trees = [(g, random_parse_tree(g, rng, max_depth=6), "sampled") for _ in range(5)]
+        for cnf_tree in (random_parse_tree(cnf, rng, max_depth=7) for _ in range(5)):
+            if cnf_tree is not None:
+                trees.append((cnf, cyk_parse(cnf, cnf_tree.yield_word()), "cyk"))
+        product = bar_hillel(cnf, random_nfa(rng, 3, sorted(cnf.terminals), 0.4))
+        table = shortest_words(product)
+        for triple in sorted(table.realizable())[:5]:
+            trees.append((cnf, extract_witness(product, table, triple).tree, "witness"))
+        for grammar, tree, source in trees:
+            if tree is None:
+                continue
+            sources[source] += 1
+            assert is_valid_parse_tree(grammar, tree)
+            _check_against_the_stack_walk(grammar, tree, valid)
+            for mutant in _mutants(grammar, tree, rng):
+                _check_against_the_stack_walk(grammar, mutant, mutated)
+    assert min(sources.values()) >= 200, sources
+    assert valid[False] >= 80  # witnesses rooted away from the start
+    assert mutated[False] >= 5000 and mutated[True] >= 500, mutated
+
+
+def test_is_valid_parse_tree_checks_below_an_epsilon_child():
+    g = parse_grammar("S -> a S |\n")
+    assert is_valid_parse_tree(g, ParseTree("S", (ParseTree(EPSILON),)), require_start=True)
+    for below in ParseTree("zzz"), ParseTree("a"), ParseTree("S", (ParseTree(EPSILON),)):
+        tree = ParseTree("S", (ParseTree(EPSILON, (below,)),))
+        assert not is_valid_parse_tree(g, tree)
+        assert not is_valid_parse_tree(g, tree, require_start=True)

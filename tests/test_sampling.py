@@ -1,7 +1,8 @@
+import hashlib
 import random
 
 from ratindex.classify import is_superlinear, verify_ultralinear
-from ratindex.grammar import cyk_membership, is_valid_parse_tree, to_cnf
+from ratindex.grammar import cyk_membership, is_valid_parse_tree, parse_grammar, to_cnf
 from ratindex.sampling import (
     min_heights,
     random_cnf_grammar,
@@ -88,3 +89,27 @@ def test_random_nfa_draws_as_the_set_comprehension():
             assert rng.getstate() == ref.getstate()
             checked += 1
     assert checked == 2400
+
+
+def test_random_parse_trees_are_pinned():
+    # The SHA-256 of seeded trees over fixed and random grammars, four depth
+    # budgets each: the production a draw picks, and so every tree, stays put.
+    texts = [
+        "S -> a S b | a b\n",
+        "S -> S S | a S b | a b\n",
+        "S -> a S b S |\n",
+        "S -> A B | c\nA -> a A | B |\nB -> b B b | S | a\n",
+    ]
+    rng = random.Random(31)
+    grammars = [parse_grammar(text) for text in texts] + [
+        random_grammar(rng, max_nonterminals=4, max_terminals=3, max_body=4, epsilon_weight=0.2)
+        for _ in range(6)
+    ]
+    trees = []
+    for k, g in enumerate(grammars):
+        for depth in (1, 3, 6, 12):
+            rng = random.Random(100 * k + depth)
+            trees += [str(random_parse_tree(g, rng, max_depth=depth)) for _ in range(25)]
+    assert hashlib.sha256("\n".join(trees).encode()).hexdigest() == (
+        "862b6e8113d01f8c9b55776c61d206e763a64678f8dc42818e046bbb816a26a8"
+    )
