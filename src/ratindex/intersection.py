@@ -7,7 +7,9 @@ realizable triple and resolves canonical witnesses on demand: shortest
 words, rational-index sweeps and ``all_pairs_reach`` with its witnesses read
 it.  ``realized_rows`` finds the same triples without lengths: chain
 Datalog, ``cyk_membership``, ``cyk_parse`` and ``reach_pairs`` read it, as
-they ask only which triples are realizable.
+they ask only which triples are realizable.  It seeds the triples of
+nonterminals with no binary rule (leaves) and never pops them, and joins a
+rule of two leaves once at seeding.
 """
 
 from __future__ import annotations
@@ -487,35 +489,65 @@ def realized_rows(
     later one to leave finds the other.  A left child (B, i, k) of
     P -> B C joins with the row ``rows[C][k]`` and keeps only the partners
     not yet in the parent's row ``rows[P][i]``, one set difference per rule
-    (a right child joins through the columns the same way).  So a candidate
-    that is already realized costs no Python step, where the closure must
-    probe it to compare lengths.  It reads ``CNFGrammar.rule_index``.
+    (a right child joins through the columns the same way), and pushes each
+    new triple in the loop that extends the parent's other side.  So a
+    candidate that is already realized costs no Python step, where the
+    closure must probe it to compare lengths.  It reads
+    ``CNFGrammar.rule_index``.
+
+    A leaf, a nonterminal with no binary rule, has only the triples of its
+    terminal rules, so all of them are in its rows and columns once the
+    edges are seeded.  They are seeded there and never enter the worklist:
+    a partner that leaves it later finds them.  A rule whose two children
+    are both leaves has no such partner, and is joined once at seeding.
+    Leaves are the ``T_a`` helpers of a CNF, rules ``A -> a`` and chain
+    Datalog's edge predicates: on the seed-1 deep-nesting ``updown``
+    chains of the benchmark they hold 16,000 of the 44,868 triples.
     """
     rows: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
     cols: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
-    terminal_rules, _pair_rules, child_rules = g.rule_index
-    # Per nonterminal, the binary rules it is a child of, as (parent, the
-    # parent's sets that the join extends, the parent's sets on the other
-    # side, the partner's sets by shared node, whether the partner is the
-    # right child): for P -> B C, a left child (B, i, k) reads ``rows[C][k]``
-    # and extends ``rows[P][i]``, and a right child (C, k, j) reads
-    # ``cols[B][k]`` and extends ``cols[P][j]``.
+    terminal_rules, pair_rules, child_rules = g.rule_index
+    # Per nonterminal that leaves the worklist, the binary rules it is a
+    # child of, as (parent, the parent's sets that the join extends, the
+    # parent's sets on the other side, the partner's sets by shared node,
+    # whether the partner is the right child): for P -> B C, a left child
+    # (B, i, k) reads ``rows[C][k]`` and extends ``rows[P][i]``, and a right
+    # child (C, k, j) reads ``cols[B][k]`` and extends ``cols[P][j]``.
     joins: dict[str, list[tuple[str, dict, dict, dict, bool]]] = {
         child: [
             (p, rows[p], cols[p], rows[c], True) if right else (p, cols[p], rows[p], cols[c], False)
             for p, c, right in rules
         ]
         for child, rules in child_rules.items()
+        if child in pair_rules
     }
 
     work: list[Triple] = []
+    push = work.append
     for src, label, dst in transitions:
         for _pid, head in terminal_rules.get(label, ()):
             row = rows[head].setdefault(src, set())
             if dst not in row:
                 row.add(dst)
                 cols[head].setdefault(dst, set()).add(src)
-                work.append((head, src, dst))
+                if head in pair_rules:  # a leaf's triple is never popped
+                    push((head, src, dst))
+    # A rule of two leaves is joined here, once, since both children are
+    # complete; the walk follows the rule index and the leaves' rows.
+    for parent, rules in pair_rules.items():
+        out, into = rows[parent], cols[parent]
+        for _pid, left, right in rules:
+            if left in pair_rules or right in pair_rules:
+                continue
+            right_rows = rows[right]
+            for i, shared_nodes in rows[left].items():
+                for k in shared_nodes:
+                    for j in right_rows.get(k, ()):
+                        row = out.setdefault(i, set())
+                        if j not in row:
+                            row.add(j)
+                            into.setdefault(j, set()).add(i)
+                            push((parent, i, j))
 
     while work:
         head, i, j = work.pop()
@@ -538,10 +570,7 @@ def realized_rows(
                     into[k] = {own}
                 else:
                     mirror.add(own)
-            if on_right:
-                work += [(parent, own, k) for k in new]
-            else:
-                work += [(parent, k, own) for k in new]
+                push((parent, own, k) if on_right else (parent, k, own))
     return rows
 
 

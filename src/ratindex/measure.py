@@ -130,7 +130,7 @@ class _Candidate(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _size_tables(m: int, letters: tuple[str, ...]) -> tuple:
-    """``_canonical_sets``'s states, cell edges, tables of each non-identity
+    """``_canonical_cells``'s states, cell edges, tables of each non-identity
     permutation's image of 9-bit chunks of a set, and pairs, at size m."""
     names = tuple("q%d" % i for i in range(m))
     cells = [(s, ai, t) for s in range(m) for ai in range(len(letters)) for t in range(m)]
@@ -159,13 +159,22 @@ def _size_tables(m: int, letters: tuple[str, ...]) -> tuple:
 
 
 def _canonical_sets(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple]:
+    """The sets of ``_canonical_cells`` with their cells as a frozenset,
+    as (states, bits, transitions, pairs)."""
+    for states, bits, cells, pairs in _canonical_cells(max_states, alphabet):
+        yield states, bits, frozenset(cells), pairs
+
+
+def _canonical_cells(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple]:
     """Per size m = 1..max_states, the transition sets that no state
-    permutation sorts lower, as (states, bits, transitions, pairs) in order
-    of ``bits`` (bit b: the b-th cell (state, letter, state) in sorted order);
-    ``pairs`` holds the (initial, accepting, id suffix) that no automorphism
-    sorts lower.  Orderly generation (Read 1978; McKay 1998): a canonical set
-    less its highest cell is canonical, so the sets whose highest cell is c
-    are the canonical P | 2^c for the canonical P found before c, in order."""
+    permutation sorts lower, as (states, bits, cells, pairs) in order of
+    ``bits`` (bit b: the b-th cell (state, letter, state) in sorted order);
+    ``cells`` is the set as a tuple in cell order, which is sorted order, as
+    the states are q0..q9, and ``pairs`` holds the (initial, accepting, id
+    suffix) that no automorphism sorts lower.  Orderly generation (Read
+    1978; McKay 1998): a canonical set less its highest cell is canonical,
+    so the sets whose highest cell is c are the canonical P | 2^c for the
+    canonical P found before c, in order."""
     letters = tuple(sorted(alphabet))
     for m in range(1, max_states + 1):
         states, edges, bit_images, pairs = _size_tables(m, letters)
@@ -188,8 +197,8 @@ def _canonical_sets(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple]
             else:
                 if bits >> len(edges) - 1 == 0:  # no cell to add after the last
                     canonical.append(bits)
-                transitions = frozenset(edges[b] for b in range(len(edges)) if bits >> b & 1)
-                yield states, bits, transitions, pairs(tuple(automorphisms))
+                cells = tuple([edges[b] for b in range(len(edges)) if bits >> b & 1])
+                yield states, bits, cells, pairs(tuple(automorphisms))
 
 
 def enumerate_nfas(
@@ -300,7 +309,7 @@ def measure_rho(
 
     Automata are read as unvalidated fields, and only the winner's ``NFA``
     is built.  A negative budget is a ValueError.  An exhaustive sweep reads
-    the automata of ``enumerate_nfas`` set by set (``_canonical_sets``): a
+    the automata of ``enumerate_nfas`` set by set (``_canonical_cells``): a
     product closure depends on the transitions only, so a set's automata
     share one full closure, built at the first one that the empty word does
     not answer.  Once the best length exceeds the set's longest start
@@ -339,14 +348,15 @@ def measure_rho(
 
     if exhaustive:
         letter_set = frozenset(alphabet)
-        for states, bits, transitions, pairs in _canonical_sets(n, alphabet):
+        for states, bits, cells, pairs in _canonical_cells(n, alphabet):
+            transitions = frozenset(cells)
             if budget is not None and tested + len(pairs) > budget:
                 pairs, truncated = pairs[:budget - tested], True
             tested += len(pairs)
             closure = None
             for initial, accepting, suffix in pairs:
                 if closure is None and not (g.epsilon_at_start and initial & accepting):
-                    closure = ProductClosure(g, transitions)
+                    closure = ProductClosure(g, cells)  # sorted, so its sort is linear
                     rows = closure.by_source[g.start].values()
                     longest = max((d for r in rows for _, d in r), default=0)
                 if closure is not None and best and longest < best[0]:

@@ -198,6 +198,65 @@ def reference_closure(g: CNFGrammar, transitions, counts=None, wide=2):
     return lengths, by_source
 
 
+def realized_rows_popping_every_edge(g: CNFGrammar, transitions) -> dict:
+    """Reference for ``intersection.realized_rows``: its loop as it was
+    before leaf triples were seeded, in which every edge triple enters the
+    worklist and leaves it, and each join's new triples are pushed by a
+    list comprehension."""
+    rows: dict = {a: {} for a in g.nonterminals}
+    cols: dict = {a: {} for a in g.nonterminals}
+    terminal_rules, _pair_rules, child_rules = g.rule_index
+    # Per nonterminal, the binary rules it is a child of, as (parent, the
+    # parent's sets that the join extends, the parent's sets on the other
+    # side, the partner's sets by shared node, whether the partner is the
+    # right child): for P -> B C, a left child (B, i, k) reads ``rows[C][k]``
+    # and extends ``rows[P][i]``, and a right child (C, k, j) reads
+    # ``cols[B][k]`` and extends ``cols[P][j]``.
+    joins: dict[str, list[tuple[str, dict, dict, dict, bool]]] = {
+        child: [
+            (p, rows[p], cols[p], rows[c], True) if right else (p, cols[p], rows[p], cols[c], False)
+            for p, c, right in rules
+        ]
+        for child, rules in child_rules.items()
+    }
+
+    work: list = []
+    for src, label, dst in transitions:
+        for _pid, head in terminal_rules.get(label, ()):
+            row = rows[head].setdefault(src, set())
+            if dst not in row:
+                row.add(dst)
+                cols[head].setdefault(dst, set()).add(src)
+                work.append((head, src, dst))
+
+    while work:
+        head, i, j = work.pop()
+        for parent, out, into, partner_sets, on_right in joins.get(head, ()):
+            own, shared = (i, j) if on_right else (j, i)
+            partners = partner_sets.get(shared)
+            if not partners:
+                continue
+            known = out.get(own)
+            if known is None:
+                out[own] = new = set(partners)
+            else:
+                new = partners - known
+                if not new:
+                    continue
+                known |= new
+            for k in new:
+                mirror = into.get(k)
+                if mirror is None:
+                    into[k] = {own}
+                else:
+                    mirror.add(own)
+            if on_right:
+                work += [(parent, own, k) for k in new]
+            else:
+                work += [(parent, k, own) for k in new]
+    return rows
+
+
 def productions_for(tg, triple):
     """All product productions with the given head, as
     (base production id, payload) where payload is either

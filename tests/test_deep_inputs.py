@@ -36,6 +36,7 @@ from ratindex.trees import ParseTree, dimension
 from ratindex.wellnested import WellNestedWord, harmonic, matching_pairs, oscillation
 
 from conftest import ANBN_TEXT
+from oracles import naive_datalog_fixpoint
 
 
 def anbn_chain(k):
@@ -166,6 +167,16 @@ def test_same_generation_on_long_updown_chain():
     answers = evaluate(program, graph)
     assert {("u%d" % i, "d%d" % i) for i in range(3001)} <= answers
     assert answers == all_pairs_reach(to_cnf(chain_to_cfg(program)), graph).start_pairs()
+
+
+def test_same_generation_on_a_2000_level_chain_matches_the_naive_fixpoint():
+    # The up and down edges are leaf triples, seeded and never popped; the
+    # bottom-up fixpoint finds one more level per round.
+    program = parse_chain_program(SAME_GENERATION)
+    graph = updown_chain(2000)
+    answers = evaluate(program, graph)
+    assert len(answers) > 2001
+    assert answers == naive_datalog_fixpoint(program, graph)
 
 
 def test_extract_witness_across_long_chain(anbn_cnf):

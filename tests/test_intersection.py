@@ -25,6 +25,7 @@ from oracles import (
     UP_DOWN_FLAT,
     materialize,
     realizable_start_pairs_scan,
+    realized_rows_popping_every_edge,
     reference_closure,
     rename_terminals,
     resolve_below_two_pass,
@@ -717,6 +718,64 @@ def test_realized_rows_reach_a_nonterminal_that_is_no_rules_child():
     assert "S" not in g.rule_index[2]
     rows = realized_rows(g, [(0, "a", 1), (1, "b", 2), (2, "a", 3)])
     assert rows == {"S": {0: {2}}, "A": {0: {1}, 2: {3}}, "B": {1: {2}}}
+
+
+# Grammars whose leaves (nonterminals with no binary rule) take each path
+# through realized_rows: a rule of two leaves, also below another rule and
+# with one leaf twice; a start symbol that is a leaf; leaves of several
+# labels; a nonterminal with terminal and binary rules; an empty-word start.
+LEAF_GRAMMARS = (
+    "S -> A B\nA -> a\nB -> b\n",
+    "S -> a | b\n",
+    "S -> A B | B A\nA -> a | b\nB -> b | c\n",
+    "S -> A S | S B | a\nA -> a | b\nB -> b\n",
+    "S -> X S | a\nX -> A B\nA -> a\nB -> b\n",
+    "S -> A A | A S\nA -> a | b\n",
+    "S -> a S b |\n",
+    "S -> S S | a S b | a b\n",
+)
+
+
+def assert_rows_match_the_popping_loop(g, transitions, rng) -> int:
+    """Assert that ``realized_rows`` gives the rows of the loop that pops
+    every edge triple, for the transitions in four orders and as a
+    frozenset; return the number of triples."""
+    expected = realized_rows_popping_every_edge(g, transitions)
+    edges = list(transitions)
+    shuffled = rng.sample(edges, len(edges))
+    for variant in (edges, shuffled, edges[::-1], frozenset(edges)):
+        rows = realized_rows(g, variant)
+        assert rows == expected
+        assert all(row for sets in rows.values() for row in sets.values())
+    return sum(len(row) for sets in expected.values() for row in sets.values())
+
+
+def test_realized_rows_equal_the_loop_that_pops_every_edge(rng):
+    instances = triples = 0
+    for _ in range(1000):
+        g = random_cnf_grammar(rng, max_nonterminals=3, max_terminals=2, epsilon_weight=0.2)
+        letters = sorted(g.terminals)
+        n = rng.randint(1, 8)
+        graph = random_graph(rng, n, letters, rng.randint(0, n * n))
+        nfa = random_nfa(rng, n, letters, rng.choice((0.05, 0.2, 0.5)))
+        for transitions in (graph.edges, nfa.transitions):
+            triples += assert_rows_match_the_popping_loop(g, transitions, rng)
+            instances += 1
+    for text in LEAF_GRAMMARS:
+        g = to_cnf(parse_grammar(text))
+        letters = sorted(g.terminals)
+        loops = [(node, a, node) for node in range(3) for a in letters]
+        word = [(p, rng.choice(letters), p + 1) for p in range(12)]
+        for transitions in ([], loops, word, loops + word):
+            triples += assert_rows_match_the_popping_loop(g, transitions, rng)
+            instances += 1
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            graph = random_graph(rng, n, letters, rng.randint(1, 2 * n * n))
+            triples += assert_rows_match_the_popping_loop(g, graph.edges, rng)
+            instances += 1
+    assert instances >= 2000
+    assert triples > 20_000
 
 
 def settled_lengths(closure):
