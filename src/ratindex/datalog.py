@@ -189,7 +189,9 @@ def chain_to_cfg(program: ChainProgram) -> Grammar:
     """One nonterminal per derived predicate, one production per rule, and a
     wrapper production P -> p for every capitalized database predicate (p
     its lowercased edge label); already-lowercase database predicates are
-    used as terminals directly.  The start symbol is the query predicate."""
+    used as terminals directly.  The start symbol is the query predicate,
+    or, when the query is such a terminal, a fresh start with one
+    production to it."""
     wrapped = program.idb & program.edge_predicates
     label_sources: dict[str, str] = {}
     for pred in sorted(program.edge_predicates):
@@ -211,11 +213,16 @@ def chain_to_cfg(program: ChainProgram) -> Grammar:
         productions.append(Production(rule.head, body))
     for pred in sorted(wrapped):
         productions.append(Production(pred, (pred.lower(),)))
+    start = program.query
+    if start in terminals:
+        # "?-" cannot begin a predicate name, so the start is fresh
+        start = "?-" + start
+        productions.append(Production(start, (program.query,)))
     return Grammar(
         terminals=frozenset(terminals),
-        nonterminals=program.idb,
+        nonterminals=program.idb | {start},
         productions=tuple(productions),
-        start=program.query,
+        start=start,
     )
 
 

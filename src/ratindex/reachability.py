@@ -54,10 +54,10 @@ def reach_pairs(g: CNFGrammar, d: LabeledGraph) -> frozenset[tuple[str, str]]:
     by ``realized_rows`` without settling lengths: for callers that read no
     witness."""
     rows = realized_rows(g, d.edges)[g.start]
-    pairs = {(i, j) for i, row in rows.items() for j in row}
+    pairs = frozenset((i, j) for i, row in rows.items() for j in row)
     if g.epsilon_at_start:
-        pairs.update((i, i) for i in d.nodes)
-    return frozenset(pairs)
+        pairs = pairs.union((i, i) for i in d.nodes)
+    return pairs
 
 
 def witness_path(rel: ReachabilityRelation, source: str, target: str) -> tuple[str, ...]:

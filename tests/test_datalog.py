@@ -99,6 +99,14 @@ def test_evaluate_descendants(child_path_graph):
     assert facts == {("1", "2"), ("1", "3"), ("2", "3")}
 
 
+def test_evaluate_a_query_on_a_database_predicate(child_path_graph):
+    # `?- child` answers the edges labeled child, as `?- Child` does
+    for name in "child", "Child":
+        text = "Desc(x, y) :- P(x, y).\nDesc(x, y) :- P(x, z), Desc(z, y).\n?- P\n"
+        program = parse_chain_program(text.replace("P", name))
+        assert evaluate(program, child_path_graph) == {("1", "2"), ("2", "3")}
+
+
 def test_evaluate_empty_graph():
     program = parse_chain_program(EXAMPLE_PROGRAM)
     graph = LabeledGraph(frozenset({"1"}), frozenset({"child"}), frozenset())
