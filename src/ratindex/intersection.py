@@ -8,8 +8,9 @@ words, rational-index sweeps and ``all_pairs_reach`` with its witnesses read
 it.  ``realized_rows`` finds the same triples without lengths: chain
 Datalog, ``cyk_membership``, ``cyk_parse`` and ``reach_pairs`` read it, as
 they ask only which triples are realizable.  It seeds the triples of
-nonterminals with no binary rule (leaves) and never pops them, and joins a
-rule of two leaves once at seeding.
+nonterminals with no binary rule (leaves) and never pops them, joins a
+rule of two leaves once at seeding, and keeps predecessor columns only for
+the nonterminals whose joins read them.
 """
 
 from __future__ import annotations
@@ -484,38 +485,56 @@ def realized_rows(
     length and no witness.
 
     A semi-naive worklist over successor rows ``rows[A][i]`` and
-    predecessor columns ``cols[A][j]``: a triple enters both when it is
-    found and joins, once, when it leaves the worklist, so of two parts the
-    later one to leave finds the other.  A left child (B, i, k) of
-    P -> B C joins with the row ``rows[C][k]`` and keeps only the partners
-    not yet in the parent's row ``rows[P][i]``, one set difference per rule
-    (a right child joins through the columns the same way), and pushes each
-    new triple in the loop that extends the parent's other side.  So a
-    candidate that is already realized costs no Python step, where the
-    closure must probe it to compare lengths.  It reads
-    ``CNFGrammar.rule_index``.
+    predecessor columns ``cols[A][j]``: a triple enters its row, and its
+    column where A keeps columns, when it is found, and joins, once, when
+    it leaves the worklist, so of two parts the later one to leave finds
+    the other.  A left child (B, i, k) of P -> B C joins with the row
+    ``rows[C][k]`` and keeps only the partners not yet in the parent's row
+    ``rows[P][i]``, one set difference per rule (a right child joins
+    through the columns the same way), and pushes each new triple in the
+    loop that extends the parent's other side.  So a candidate that is
+    already realized costs no Python step, where the closure must probe it
+    to compare lengths.  It reads ``CNFGrammar.rule_index``.
+
+    Columns are read only when a right child C that leaves the worklist
+    joins: it reads ``cols[B]`` and extends ``cols[P]``.  So only the B and
+    P of rules P -> B C whose C is not a leaf (see below) keep columns; the
+    other nonterminals' triples enter their rows alone, and their joins
+    carry None for the parent's columns.  Chain Datalog's same-generation
+    program, SG -> Up X | flat and X -> SG Down, keeps none for X and Down:
+    on the seed-1 deep-nesting ``updown`` chains of the benchmark that is
+    16,000 of 32,002 column sets, each a container the cyclic GC walks.
 
     A leaf, a nonterminal with no binary rule, has only the triples of its
-    terminal rules, so all of them are in its rows and columns once the
-    edges are seeded.  They are seeded there and never enter the worklist:
-    a partner that leaves it later finds them.  A rule whose two children
-    are both leaves has no such partner, and is joined once at seeding.
+    terminal rules, so all of them are in its rows (and columns, if it
+    keeps them) once the edges are seeded.  They are seeded there and never
+    enter the worklist: a partner that leaves it later finds them.  A rule
+    whose two children are both leaves has no such partner, and is joined
+    once at seeding.
     Leaves are the ``T_a`` helpers of a CNF, rules ``A -> a`` and chain
     Datalog's edge predicates: on the seed-1 deep-nesting ``updown``
     chains of the benchmark they hold 16,000 of the 44,868 triples.
     """
     rows: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
-    cols: dict[str, dict[Hashable, set]] = {a: {} for a in g.nonterminals}
     terminal_rules, pair_rules, child_rules = g.rule_index
+    cols: dict[str, dict[Hashable, set]] = {
+        a: {}
+        for parent, rules in pair_rules.items()
+        for _pid, left, right in rules
+        if right in pair_rules
+        for a in (parent, left)
+    }
     # Per nonterminal that leaves the worklist, the binary rules it is a
     # child of, as (parent, the parent's sets that the join extends, the
-    # parent's sets on the other side, the partner's sets by shared node,
-    # whether the partner is the right child): for P -> B C, a left child
-    # (B, i, k) reads ``rows[C][k]`` and extends ``rows[P][i]``, and a right
-    # child (C, k, j) reads ``cols[B][k]`` and extends ``cols[P][j]``.
-    joins: dict[str, list[tuple[str, dict, dict, dict, bool]]] = {
+    # parent's sets on the other side or None, the partner's sets by shared
+    # node, whether the partner is the right child): for P -> B C, a left
+    # child (B, i, k) reads ``rows[C][k]`` and extends ``rows[P][i]``, and a
+    # right child (C, k, j) reads ``cols[B][k]`` and extends ``cols[P][j]``.
+    joins: dict[str, list[tuple[str, dict, dict | None, dict, bool]]] = {
         child: [
-            (p, rows[p], cols[p], rows[c], True) if right else (p, cols[p], rows[p], cols[c], False)
+            (p, rows[p], cols.get(p), rows[c], True)
+            if right
+            else (p, cols[p], rows[p], cols[c], False)
             for p, c, right in rules
         ]
         for child, rules in child_rules.items()
@@ -529,13 +548,14 @@ def realized_rows(
             row = rows[head].setdefault(src, set())
             if dst not in row:
                 row.add(dst)
-                cols[head].setdefault(dst, set()).add(src)
+                if head in cols:
+                    cols[head].setdefault(dst, set()).add(src)
                 if head in pair_rules:  # a leaf's triple is never popped
                     push((head, src, dst))
     # A rule of two leaves is joined here, once, since both children are
     # complete; the walk follows the rule index and the leaves' rows.
     for parent, rules in pair_rules.items():
-        out, into = rows[parent], cols[parent]
+        out, into = rows[parent], cols.get(parent)
         for _pid, left, right in rules:
             if left in pair_rules or right in pair_rules:
                 continue
@@ -546,7 +566,8 @@ def realized_rows(
                         row = out.setdefault(i, set())
                         if j not in row:
                             row.add(j)
-                            into.setdefault(j, set()).add(i)
+                            if into is not None:
+                                into.setdefault(j, set()).add(i)
                             push((parent, i, j))
 
     while work:
@@ -564,6 +585,10 @@ def realized_rows(
                 if not new:
                     continue
                 known |= new
+            if into is None:  # a left child's parent that keeps no columns
+                for k in new:
+                    push((parent, own, k))
+                continue
             for k in new:
                 mirror = into.get(k)
                 if mirror is None:
@@ -719,9 +744,10 @@ def realizable_start_pairs(tg: TripleGrammar, table: ShortestTable) -> frozenset
     is nonempty, including empty-word pairs."""
     nfa = tg.automaton
     rows = table.closure.start_rows(nfa.initial, nfa.accepting)
-    pairs = {(i, j) for _d, i, j in rows}
-    pairs.update((i, i) for i in tg.empty_word_states())
-    return frozenset(pairs)
+    pairs = frozenset((i, j) for _d, i, j in rows)
+    if tg.grammar.epsilon_at_start:
+        pairs = pairs.union((i, i) for i in tg.empty_word_states())
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,10 @@ class ReachabilityRelation:
         closure's start rows, with the empty paths (i, i) when the grammar
         derives the empty word."""
         rows = self._product.by_source[self.grammar.start]
-        pairs = {(i, j) for i, row in rows.items() for j, _d in row}
+        pairs = frozenset((i, j) for i, row in rows.items() for j, _d in row)
         if self.grammar.epsilon_at_start:
-            pairs.update((i, i) for i in self.graph.nodes)
-        return frozenset(pairs)
+            pairs = pairs.union((i, i) for i in self.graph.nodes)
+        return pairs
 
 
 def all_pairs_reach(g: CNFGrammar, d: LabeledGraph) -> ReachabilityRelation:

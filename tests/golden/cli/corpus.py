@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -49,10 +50,31 @@ def _updown_graph():
     return "".join(lines)
 
 
+def _bracket_graph():
+    """A seeded random 64-node graph on the letters a b c d: each node has
+    one opening edge (a or c) and one closing edge (b or d), each to a
+    uniformly chosen node."""
+    rng = random.Random(0)
+    return "".join(
+        "v%d %s v%d\n" % (u, rng.choice(letters), rng.randrange(64))
+        for u in range(64)
+        for letters in ("ac", "bd")
+    )
+
+
+def _child_tree():
+    """A seeded random recursive tree of 200 nodes: `child` from a uniformly
+    chosen earlier node to each node."""
+    rng = random.Random(2024)
+    return "".join("t%d child t%d\n" % (rng.randrange(v), v) for v in range(1, 200))
+
+
 INPUTS = {
     "anbn.cfg": "S -> a S b | a b\n",
     "dyck.cfg": "S -> S S | a S b | a b\n",
     "dyck2.cfg": "S -> S S | a S b | c S d | a b | c d\n",
+    # its CNF pairs the two b's in the helpers X1 and X2
+    "amb2m.cfg": "S -> a S b b | a b b\n",
     # long nullable bodies: the CNF lists the bodies left by dropping
     # nullable occurrences in a fixed order
     "nullable.cfg": "S -> A B A B A B A B c |\nA -> a A |\nB -> b |\n",
@@ -61,8 +83,11 @@ INPUTS = {
     "perm.nfa": "initial: v0\naccepting: v6 v28 v32 v48\n" + _perm_graph(),
     "chain.nfa": _chain_nfa(),
     "updown.graph": _updown_graph(),
+    "brackets.graph": _bracket_graph(),
+    "tree.graph": _child_tree(),
     "sg.dl": "SG(x, y) :- Flat(x, y).\nSG(x, y) :- Up(x, z1), SG(z1, z2), Down(z2, y).\n?- SG\n",
     "child.graph": "1 child 2\n2 child 3\n",
+    "desc.dl": "Desc(x, y) :- Child(x, y).\nDesc(x, y) :- Child(x, z), Desc(z, y).\n?- Desc\n",
     # the query is a database predicate, spelled as its edge label or not
     "label.dl": "Desc(x, y) :- child(x, y).\nDesc(x, y) :- child(x, z), Desc(z, y).\n"
     "?- child\n",
@@ -148,6 +173,16 @@ ENTRIES = {
     "datalog-eval-sg-updown": "datalog-eval --program sg.dl --graph updown.graph".split(),
     "datalog-eval-query-child": "datalog-eval --program label.dl --graph child.graph".split(),
     "datalog-eval-query-Child": "datalog-eval --program wrapper.dl --graph child.graph".split(),
+    # transitive closure of the seeded 200-node tree (1,142 ancestor pairs)
+    "datalog-eval-desc-tree": "datalog-eval --program desc.dl --graph tree.graph".split(),
+    # two-bracket Dyck reachability on the random bracket graph (1,308 pairs)
+    "reach-dyck2-brackets": "reach --grammar dyck2.cfg --graph brackets.graph".split(),
+    # a^100 b^200 and one b short
+    "member-amb2m-100": ["member", "--grammar", "amb2m.cfg", "--word", "a" * 100 + "b" * 200],
+    "member-amb2m-short": ["member", "--grammar", "amb2m.cfg", "--word", "a" * 100 + "b" * 199],
+    "tree-metrics-amb2m-100": [
+        "tree-metrics", "--grammar", "amb2m.cfg", "--word", "a" * 100 + "b" * 200
+    ],
 }
 
 

@@ -3,6 +3,7 @@ import functools
 import pytest
 
 import ratindex.intersection
+from ratindex.datalog import parse_chain_program
 from ratindex.grammar import cyk_membership, is_valid_parse_tree, parse_grammar, to_cnf
 from ratindex.graphs import NFA, LabeledGraph, parse_graph, parse_nfa
 from ratindex.intersection import (
@@ -37,7 +38,7 @@ from oracles import (
     walks_up_to,
 )
 
-from conftest import two_regular_dyck_graph
+from conftest import EXAMPLE_PROGRAM, two_regular_dyck_graph
 from generators import random_graph
 
 
@@ -776,6 +777,64 @@ def test_realized_rows_equal_the_loop_that_pops_every_edge(rng):
             instances += 1
     assert instances >= 2000
     assert triples > 20_000
+
+
+# Shapes in which realized_rows keeps no columns for some nonterminals:
+# chain Datalog's same-generation program, whose CNF is SG -> Up X | flat,
+# X -> SG Down; its transitive closure, Desc -> Child Desc | child; a head S
+# whose columns are only read to dedupe its own joins (S -> B C with B and C
+# not leaves, S only ever a right child); and S -> S S.
+SAME_GENERATION = (
+    "SG(x, y) :- Flat(x, y).\n"
+    "SG(x, y) :- Up(x, z1), SG(z1, z2), Down(z2, y).\n"
+    "?- SG\n"
+)
+DEDUPE_ONLY = "R -> A S | b\nS -> B C\nB -> B A | a\nC -> A C | b\nA -> a | b\n"
+
+
+def up_down_chain(rng, levels, extra_flat):
+    """An `up` chain u0..u(levels), a `down` chain back to d0, `flat` from
+    the top of one to the top of the other and `extra_flat` random `flat`
+    edges from the up chain to the down chain."""
+    edges = [("u%d" % i, "up", "u%d" % (i + 1)) for i in range(levels)]
+    edges += [("d%d" % (i + 1), "down", "d%d" % i) for i in range(levels)]
+    edges.append(("u%d" % levels, "flat", "d%d" % levels))
+    edges += [
+        ("u%d" % rng.randrange(levels), "flat", "d%d" % rng.randrange(levels))
+        for _ in range(extra_flat)
+    ]
+    return edges
+
+
+def child_tree(rng, n):
+    """A random recursive tree of n nodes with `child` edges."""
+    return [(rng.randrange(v), "child", v) for v in range(1, n)]
+
+
+def test_realized_rows_on_the_shapes_whose_columns_are_not_kept(rng):
+    sg = parse_chain_program(SAME_GENERATION).cnf
+    assert set(sg.rule_index[1]) == {"SG", "X"}
+    for levels in (1, 2, 3, 10, 50, 300):
+        for extra_flat in (0, 2, 10):
+            edges = up_down_chain(rng, levels, extra_flat)
+            assert assert_rows_match_the_popping_loop(sg, edges, rng) >= 3 * levels
+    desc = parse_chain_program(EXAMPLE_PROGRAM).cnf
+    for n in (1, 2, 5, 30, 200):
+        for _ in range(3):
+            triples = assert_rows_match_the_popping_loop(desc, child_tree(rng, n), rng)
+            assert triples >= 2 * (n - 1)
+    dedupe_only = to_cnf(parse_grammar(DEDUPE_ONLY))
+    # S is a child only on the right: its partner A is the left child
+    assert dedupe_only.rule_index[2]["S"] == [("R", "A", False)]
+    triples = 0
+    for g in (dedupe_only, to_cnf(parse_grammar("S -> S S | a | b\n"))):
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            graph = random_graph(rng, n, ["a", "b"], rng.randint(1, 2 * n * n))
+            triples += assert_rows_match_the_popping_loop(g, graph.edges, rng)
+        word = [(p, rng.choice("ab"), p + 1) for p in range(30)]
+        triples += assert_rows_match_the_popping_loop(g, word, rng)
+    assert triples > 3_000
 
 
 def settled_lengths(closure):
