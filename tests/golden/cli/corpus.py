@@ -69,6 +69,14 @@ def _child_tree():
     return "".join("t%d child t%d\n" % (rng.randrange(v), v) for v in range(1, 200))
 
 
+def _right_chain():
+    """A right-recursive chain of 305 rules, S -> E A0, A0 -> a A1, ...,
+    A299 -> a A300, with one ε rule (E -> e |) and one unit rule (A300 -> B):
+    its words are a^300 b and e a^300 b."""
+    rules = "".join("A%d -> a A%d\n" % (i, i + 1) for i in range(300))
+    return "S -> E A0\nE -> e |\n" + rules + "A300 -> B\nB -> b\n"
+
+
 INPUTS = {
     "anbn.cfg": "S -> a S b | a b\n",
     "dyck.cfg": "S -> S S | a S b | a b\n",
@@ -78,6 +86,9 @@ INPUTS = {
     # long nullable bodies: the CNF lists the bodies left by dropping
     # nullable occurrences in a fixed order
     "nullable.cfg": "S -> A B A B A B A B c |\nA -> a A |\nB -> b |\n",
+    "rightchain.cfg": _right_chain(),
+    # loops on a and e, and b to the accepting state
+    "loop.nfa": "initial: p\naccepting: q\np a p\np e p\np b q\n",
     "perm.graph": _perm_graph(),
     # four accepting states tie on length, so codes decide the shortest word
     "perm.nfa": "initial: v0\naccepting: v6 v28 v32 v48\n" + _perm_graph(),
@@ -183,6 +194,12 @@ ENTRIES = {
     "tree-metrics-amb2m-100": [
         "tree-metrics", "--grammar", "amb2m.cfg", "--word", "a" * 100 + "b" * 200
     ],
+    # the grammar analyses on a 305-rule chain: its CNF, the sampler's
+    # heights, the superlinear core, and the shortest words
+    "cnf-rightchain": "cnf --grammar rightchain.cfg".split(),
+    "classify-rightchain": "classify --grammar rightchain.cfg --samples 20 --seed 1".split(),
+    "shortest-rightchain-loop": "shortest --grammar rightchain.cfg --nfa loop.nfa".split(),
+    "measure-rho-rightchain-random": _measure("rightchain.cfg", "random"),
 }
 
 
