@@ -80,20 +80,23 @@ def superlinear_core(g: Grammar) -> frozenset[str] | None:
     """The largest linear core N_L witnessing superlinearity, or None.
 
     Computed by greatest-fixpoint pruning: start from all nonterminals and
-    drop violators of the core condition until stable; then every remaining
-    outside nonterminal must fit the outer condition.  The largest core is
-    enough: both conditions only get easier as the core grows.
+    drop violators of the core condition, re-checking a nonterminal when a
+    symbol of its bodies is dropped; then every remaining outside
+    nonterminal must fit the outer condition.  The largest core is enough:
+    both conditions only get easier as the core grows.
     """
     core = set(g.nonterminals)
     index = g.by_lhs()
-    changed = True
-    while changed:
-        changed = False
-        for nt in sorted(core):
-            rules = index.get(nt, ())
-            if not all(_core_production_ok(p, core, g) for _, p in rules):
-                core.discard(nt)
-                changed = True
+    users: dict[str, list[str]] = {}
+    for head, body in g.productions:
+        for sym in body:
+            users.setdefault(sym, []).append(head)
+    pending = list(core)
+    while pending:
+        nt = pending.pop()
+        if nt in core and not all(_core_production_ok(p, core, g) for _, p in index.get(nt, ())):
+            core.discard(nt)
+            pending += users.get(nt, ())
     for nt in sorted(g.nonterminals - core):
         if not all(_outer_production_ok(p, core, g) for _, p in index.get(nt, ())):
             return None

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -150,27 +152,19 @@ class CNFGrammar(Grammar):
         """The nonterminals whose words all have one length, with that
         length: those whose rules all give one length, a terminal rule 1 and
         a binary rule the sum of its children's, where both children are
-        such nonterminals.  Nonterminals with terminal rules only are the
-        case of length 1.  Computed once per grammar and shared, so callers
-        must not change it."""
-        rules: dict[str, list[tuple[str, ...]]] = {}
-        for prod in self.productions:
-            if prod.rhs:
-                rules.setdefault(prod.lhs, []).append(prod.rhs)
+        such nonterminals.  The children are shorter than their head, so one
+        pass over the heads in increasing least length finds them: a head is
+        fixed when each binary rule sums to its least length, as a terminal
+        rule beside a binary one gives two lengths.  Computed once per
+        grammar and shared, so callers must not change it."""
+        nonempty = [prod for prod in self.productions if prod.rhs]
+        least = _least_values(nonempty, dict.fromkeys(self.terminals, 1), 0, operator.add)
+        pair_rules = self.rule_index[1]
         fixed: dict[str, int] = {}
-        grew = True
-        while grew:
-            grew = False
-            for head, bodies in rules.items():
-                if head in fixed or not all(
-                    len(body) == 1 or (body[0] in fixed and body[1] in fixed) for body in bodies
-                ):
-                    continue
-                found = {1 if len(body) == 1 else fixed[body[0]] + fixed[body[1]]
-                         for body in bodies}
-                if len(found) == 1:
-                    fixed[head] = found.pop()
-                    grew = True
+        for head in sorted(least, key=least.get):
+            if all(b in fixed and c in fixed and fixed[b] + fixed[c] == least[head]
+                   for _, b, c in pair_rules.get(head, ())):
+                fixed[head] = least[head]
         return fixed
 
     @functools.cached_property
@@ -198,8 +192,7 @@ class CNFGrammar(Grammar):
     def least_words(self) -> tuple[tuple[str, ...], ...]:
         """The start symbol's words of minimum length, sorted, or the first
         ``LEAST_WORDS_KEPT`` of them when it has more: ``((),)`` when the
-        grammar derives the empty word.  One fixpoint finds each
-        nonterminal's minimum length; then, in increasing length, each
+        grammar derives the empty word.  In increasing least length, each
         nonterminal up to the start's takes the first words of its rules
         whose parts sum to that length.  Concatenation of words of fixed
         lengths keeps their order, so the first words of a rule are made of
@@ -209,20 +202,7 @@ class CNFGrammar(Grammar):
         callers must not change it."""
         if self.epsilon_at_start:
             return ((),)
-        least: dict[str, int] = {}
-        grew = True
-        while grew:
-            grew = False
-            for head, body in self.productions:
-                if len(body) == 1:
-                    length = 1
-                elif body[0] in least and body[1] in least:
-                    length = least[body[0]] + least[body[1]]
-                else:
-                    continue
-                if length < least.get(head, length + 1):
-                    least[head] = length
-                    grew = True
+        least = _least_values(self.productions, dict.fromkeys(self.terminals, 1), 0, operator.add)
         rules = self.by_lhs()
         words: dict[str, list[tuple[str, ...]]] = {}
         for head in sorted(least, key=least.get):
@@ -372,44 +352,59 @@ def grammar_to_text(g: Grammar) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _deriving(g: Grammar, base: frozenset[str]) -> frozenset[str]:
-    """Nonterminals that derive a word over ``base``.
-
-    Each production counts its body symbols outside ``base`` that are not
-    yet known to derive, and fires when the count reaches zero, so the cost
-    is linear in the size of the grammar.
-    """
+def _least_values(
+    productions: Sequence[Production], base: dict[str, int], step: int = 1, fold=max
+) -> dict[str, int]:
+    """The least value of each nonterminal that derives a word over the
+    symbols of ``base``, valued there: a production is worth ``step`` plus
+    the ``fold`` of 0 and its body's values.  Each production counts its
+    body symbols outside ``base`` and fires when the last has settled, and
+    nonterminals settle in increasing value, bucketed by value (Knuth 1977)."""
     missing: list[int] = []
+    folded: list[int] = []
     waiting: dict[str, list[int]] = {}
-    ready = []
-    for i, (lhs, rhs) in enumerate(g.productions):
-        need = [s for s in rhs if s not in base]
-        missing.append(len(need))
-        for sym in need:
-            waiting.setdefault(sym, []).append(i)
+    buckets: dict[int, list[str]] = {}
+    for i, (lhs, rhs) in enumerate(productions):
+        value = need = 0
+        for sym in rhs:
+            if sym in base:
+                value = fold(value, base[sym])
+            else:
+                need += 1
+                waiting.setdefault(sym, []).append(i)
+        folded.append(value)
+        missing.append(need)
         if not need:
-            ready.append(lhs)
-    derived: set[str] = set()
-    while ready:
-        nt = ready.pop()
-        if nt in derived:
-            continue
-        derived.add(nt)
-        for i in waiting.get(nt, ()):
-            missing[i] -= 1
-            if not missing[i]:
-                ready.append(g.productions[i].lhs)
-    return frozenset(derived)
+            buckets.setdefault(step + value, []).append(lhs)
+    pending = list(buckets)
+    heapq.heapify(pending)
+    least: dict[str, int] = {}
+    while pending:
+        value = heapq.heappop(pending)
+        for nt in buckets.pop(value):
+            if nt in least:
+                continue
+            least[nt] = value
+            for i in waiting.get(nt, ()):
+                folded[i] = fold(folded[i], value)
+                missing[i] -= 1
+                if not missing[i]:
+                    total = step + folded[i]
+                    if total not in buckets:
+                        buckets[total] = []
+                        heapq.heappush(pending, total)
+                    buckets[total].append(productions[i].lhs)
+    return least
 
 
 def generating_nonterminals(g: Grammar) -> frozenset[str]:
     """Nonterminals that derive at least one terminal word."""
-    return _deriving(g, g.terminals)
+    return frozenset(_least_values(g.productions, dict.fromkeys(g.terminals, 0)))
 
 
 def nullable_nonterminals(g: Grammar) -> frozenset[str]:
     """Nonterminals that derive the empty word."""
-    return _deriving(g, frozenset())
+    return frozenset(_least_values(g.productions, {}))
 
 
 def reachable_symbols(g: Grammar) -> frozenset[str]:

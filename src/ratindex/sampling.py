@@ -16,6 +16,7 @@ from .grammar import (
     EmptyLanguageError,
     Grammar,
     Production,
+    _least_values,
     generating_nonterminals,
     to_cnf,
 )
@@ -25,19 +26,9 @@ from .trees import EPSILON, ParseTree
 
 def min_heights(g: Grammar) -> dict[str, float]:
     """Minimal parse-tree height (in edges) per symbol; inf if none exists."""
-    best: dict[str, float] = {t: 0 for t in g.terminals}
-    for nt in g.nonterminals:
-        best[nt] = float("inf")
-    changed = True
-    while changed:
-        changed = False
-        for prod in g.productions:
-            children = [best[s] for s in prod.rhs]
-            height = 1 + (max(children) if children else 0)
-            if height < best[prod.lhs]:
-                best[prod.lhs] = height
-                changed = True
-    return best
+    base = dict.fromkeys(g.terminals, 0)
+    least = _least_values(g.productions, base)
+    return {**base, **dict.fromkeys(g.nonterminals, float("inf")), **least}
 
 
 def random_parse_tree(g: Grammar, rng: random.Random, max_depth: int = 12) -> ParseTree | None:

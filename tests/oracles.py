@@ -12,7 +12,15 @@ import heapq
 import itertools
 from collections import deque
 
-from ratindex.grammar import CNFGrammar, Grammar, Production, cyk_membership, trim_useless
+from ratindex.classify import _core_production_ok, _outer_production_ok
+from ratindex.grammar import (
+    LEAST_WORDS_KEPT,
+    CNFGrammar,
+    Grammar,
+    Production,
+    cyk_membership,
+    trim_useless,
+)
 from ratindex.graphs import NFA, GraphFormatError, LabeledGraph
 from ratindex.intersection import (
     ProductClosure,
@@ -1123,3 +1131,132 @@ def is_valid_parse_tree_by_stack(g: Grammar, tree: ParseTree, require_start: boo
             return False
         stack.extend(node.children)
     return True
+
+
+# --- grammar analyses by counting worklist and by rescanning every production
+# until nothing changes, as they were before one least-fixpoint pass replaced
+# them; the superlinear core by rescanning its members until stable.
+
+
+def deriving_by_counting(g: Grammar, base: frozenset[str]) -> frozenset[str]:
+    """Nonterminals that derive a word over ``base``.
+
+    Each production counts its body symbols outside ``base`` that are not
+    yet known to derive, and fires when the count reaches zero, so the cost
+    is linear in the size of the grammar.
+    """
+    missing: list[int] = []
+    waiting: dict[str, list[int]] = {}
+    ready = []
+    for i, (lhs, rhs) in enumerate(g.productions):
+        need = [s for s in rhs if s not in base]
+        missing.append(len(need))
+        for sym in need:
+            waiting.setdefault(sym, []).append(i)
+        if not need:
+            ready.append(lhs)
+    derived: set[str] = set()
+    while ready:
+        nt = ready.pop()
+        if nt in derived:
+            continue
+        derived.add(nt)
+        for i in waiting.get(nt, ()):
+            missing[i] -= 1
+            if not missing[i]:
+                ready.append(g.productions[i].lhs)
+    return frozenset(derived)
+
+
+def min_heights_by_rescan(g: Grammar) -> dict[str, float]:
+    """Minimal parse-tree height (in edges) per symbol; inf if none exists."""
+    best: dict[str, float] = {t: 0 for t in g.terminals}
+    for nt in g.nonterminals:
+        best[nt] = float("inf")
+    changed = True
+    while changed:
+        changed = False
+        for prod in g.productions:
+            children = [best[s] for s in prod.rhs]
+            height = 1 + (max(children) if children else 0)
+            if height < best[prod.lhs]:
+                best[prod.lhs] = height
+                changed = True
+    return best
+
+
+def least_words_by_rescan(self: CNFGrammar) -> tuple[tuple[str, ...], ...]:
+    """``CNFGrammar.least_words`` with its minimum lengths found by rescanning
+    the productions until no length shrinks."""
+    if self.epsilon_at_start:
+        return ((),)
+    least: dict[str, int] = {}
+    grew = True
+    while grew:
+        grew = False
+        for head, body in self.productions:
+            if len(body) == 1:
+                length = 1
+            elif body[0] in least and body[1] in least:
+                length = least[body[0]] + least[body[1]]
+            else:
+                continue
+            if length < least.get(head, length + 1):
+                least[head] = length
+                grew = True
+    rules = self.by_lhs()
+    words: dict[str, list[tuple[str, ...]]] = {}
+    for head in sorted(least, key=least.get):
+        if least[head] > least[self.start]:
+            break
+        found = set()
+        for _, (_, body) in rules[head]:
+            if len(body) == 1:
+                found.add(body)
+            elif least[body[0]] + least[body[1]] == least[head]:
+                found.update(u + v for u in words[body[0]] for v in words[body[1]])
+        words[head] = sorted(found)[:LEAST_WORDS_KEPT]
+    return tuple(words[self.start])
+
+
+def fixed_lengths_by_rescan(self: CNFGrammar) -> dict[str, int]:
+    """``CNFGrammar.fixed_lengths`` by rescanning the heads until no head
+    becomes fixed."""
+    rules: dict[str, list[tuple[str, ...]]] = {}
+    for prod in self.productions:
+        if prod.rhs:
+            rules.setdefault(prod.lhs, []).append(prod.rhs)
+    fixed: dict[str, int] = {}
+    grew = True
+    while grew:
+        grew = False
+        for head, bodies in rules.items():
+            if head in fixed or not all(
+                len(body) == 1 or (body[0] in fixed and body[1] in fixed) for body in bodies
+            ):
+                continue
+            found = {1 if len(body) == 1 else fixed[body[0]] + fixed[body[1]]
+                     for body in bodies}
+            if len(found) == 1:
+                fixed[head] = found.pop()
+                grew = True
+    return fixed
+
+
+def superlinear_core_by_rescan(g: Grammar) -> frozenset[str] | None:
+    """``classify.superlinear_core`` by greatest-fixpoint pruning that
+    rescans the whole core until no member is dropped."""
+    core = set(g.nonterminals)
+    index = g.by_lhs()
+    changed = True
+    while changed:
+        changed = False
+        for nt in sorted(core):
+            rules = index.get(nt, ())
+            if not all(_core_production_ok(p, core, g) for _, p in rules):
+                core.discard(nt)
+                changed = True
+    for nt in sorted(g.nonterminals - core):
+        if not all(_outer_production_ok(p, core, g) for _, p in index.get(nt, ())):
+            return None
+    return frozenset(core)

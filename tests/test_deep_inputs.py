@@ -10,7 +10,8 @@ cost a word of memory per symbol per triple, and their trees hold one
 leaf per terminal.  Facts-only queries (Datalog
 and CYK membership) on such inputs must not settle lengths nobody reads.
 Well-nested words of hundreds of thousands of moves are matched and
-measured in one pass with an explicit stack.
+measured in one pass with an explicit stack.  The grammar analyses read
+each production once, with no recursion, on chains of thousands of rules.
 """
 
 import sys
@@ -19,12 +20,15 @@ import tracemalloc
 
 import pytest
 
+from ratindex.classify import superlinear_core
 from ratindex.cli import main
 from ratindex.datalog import chain_to_cfg, evaluate, parse_chain_program
 from ratindex.grammar import (
     cyk_membership,
     cyk_parse,
+    generating_nonterminals,
     is_valid_parse_tree,
+    nullable_nonterminals,
     parse_grammar,
     to_cnf,
 )
@@ -32,6 +36,7 @@ from ratindex.graphs import NFA, LabeledGraph
 from ratindex.intersection import ProductClosure, bar_hillel, extract_witness, shortest_words
 from ratindex.measure import TwoCycle, measure_rho, two_cycle_family
 from ratindex.reachability import all_pairs_reach, witness
+from ratindex.sampling import min_heights
 from ratindex.trees import ParseTree, dimension
 from ratindex.wellnested import WellNestedWord, harmonic, matching_pairs, oscillation
 
@@ -285,3 +290,65 @@ def test_to_cnf_with_many_nullable_occurrences():
     assert cnf.epsilon_at_start
     assert len(cnf.productions) == 279
     assert cyk_membership(cnf, "a" * 24) and not cyk_membership(cnf, "a" * 25)
+
+
+def cascading_chain(n):
+    """B00000 -> a B00001, ..., B(n-1) -> a Bn, Bn -> Bn Bn | a: dropping Bn
+    from the superlinear core drops each link of the chain in turn, last
+    first."""
+    lines = ["B%05d -> a B%05d" % (i, i + 1) for i in range(n)]
+    lines.append("B%05d -> B%05d B%05d | a" % (n, n, n))
+    return "\n".join(lines) + "\n"
+
+
+def timed_with_a_shallow_stack(call):
+    """``call()`` and its time in seconds, run with the recursion limit at
+    150: the analyses must not recurse with the grammar."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        start = time.perf_counter()
+        return call(), time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("analysis", [
+    "generating", "nullable", "min-heights", "superlinear-core", "least-words", "fixed-lengths",
+])
+def test_grammar_analyses_on_a_3001_rule_chain(analysis):
+    g = parse_grammar(right_linear_chain(3000))
+    cnf = to_cnf(g)  # computes its least words and fixed lengths at their first read
+    links = frozenset("B%d" % i for i in range(3001))
+    run, expected = {
+        "generating": (lambda: generating_nonterminals(g), links),
+        "nullable": (lambda: nullable_nonterminals(g), frozenset()),
+        "min-heights": (lambda: min_heights(g)["B0"], 3001),
+        "superlinear-core": (lambda: superlinear_core(g), links),
+        "least-words": (lambda: cnf.least_words, (("b",) * 3001,)),
+        "fixed-lengths": (lambda: cnf.fixed_lengths["B0"], 3001),
+    }[analysis]
+    found, seconds = timed_with_a_shallow_stack(run)
+    assert found == expected
+    assert seconds < 0.4
+
+
+def test_superlinear_core_on_a_3001_rule_cascade():
+    g = parse_grammar(cascading_chain(3000))
+    core, seconds = timed_with_a_shallow_stack(lambda: superlinear_core(g))
+    assert core is None
+    assert seconds < 0.4
+
+
+def test_cli_classify_on_a_1001_rule_chain(capsys, tmp_path):
+    path = tmp_path / "chain.cfg"
+    path.write_text(right_linear_chain(1000))
+    code, seconds = timed_with_a_shallow_stack(
+        lambda: main(["classify", "--grammar", str(path)])
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "linear: true\nsuperlinear: true\nexpansive: -\n"
+        "max_observed_dimension: 0\nsampled_trees: 0\n"
+    )
+    assert seconds < 5

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ratindex.classify import superlinear_core
 from ratindex.grammar import (
     CNFGrammar,
     DuplicateSymbolError,
@@ -18,23 +19,37 @@ from ratindex.grammar import (
     cyk_membership,
     cyk_parse,
     format_word,
+    generating_nonterminals,
     grammar_to_text,
     is_valid_parse_tree,
+    nullable_nonterminals,
     parse_grammar,
     parse_word,
     to_cnf,
 )
 from ratindex.intersection import bar_hillel, extract_witness, shortest_words
-from ratindex.sampling import random_cnf_grammar, random_grammar, random_nfa, random_parse_tree
+from ratindex.sampling import (
+    min_heights,
+    random_cnf_grammar,
+    random_grammar,
+    random_nfa,
+    random_parse_tree,
+)
 from ratindex.trees import EPSILON, ParseTree
 
+from generators import random_superlinear_grammar
 from oracles import (
     cyk_parse_by_closure,
     cyk_tree_by_chart,
     derivable_words,
+    deriving_by_counting,
     derives,
     drop_nullable_by_masks,
+    fixed_lengths_by_rescan,
     is_valid_parse_tree_by_stack,
+    least_words_by_rescan,
+    min_heights_by_rescan,
+    superlinear_core_by_rescan,
 )
 
 
@@ -524,3 +539,25 @@ def test_is_valid_parse_tree_checks_below_an_epsilon_child():
         tree = ParseTree("S", (ParseTree(EPSILON, (below,)),))
         assert not is_valid_parse_tree(g, tree)
         assert not is_valid_parse_tree(g, tree, require_start=True)
+
+
+def test_grammar_analyses_match_the_rescanning_references():
+    # Seeded grammars with ε and unit rules, their CNFs, and grammars with a
+    # linear core: the one-pass least fixpoints and the worklist core agree
+    # with the counting worklist and the rescans they replace.
+    rng = random.Random(34)
+    grammars = []
+    for _ in range(2000):
+        g = random_grammar(
+            rng, max_nonterminals=5, max_terminals=3, max_body=4, epsilon_weight=0.25
+        )
+        grammars += [g, to_cnf(g)]
+    grammars += [random_superlinear_grammar(rng) for _ in range(500)]
+    for g in grammars:
+        assert generating_nonterminals(g) == deriving_by_counting(g, g.terminals)
+        assert nullable_nonterminals(g) == deriving_by_counting(g, frozenset())
+        assert min_heights(g) == min_heights_by_rescan(g)
+        assert superlinear_core(g) == superlinear_core_by_rescan(g)
+        if isinstance(g, CNFGrammar):
+            assert g.least_words == least_words_by_rescan(g)
+            assert g.fixed_lengths == fixed_lengths_by_rescan(g)
