@@ -79,6 +79,10 @@ def _right_chain():
 
 INPUTS = {
     "anbn.cfg": "S -> a S b | a b\n",
+    # its empty word answers every automaton with an initial accepting state
+    "anbn-eps.cfg": "S -> a S b |\n",
+    # three letters: more than an exhaustive sweep enumerates automata over
+    "acb.cfg": "S -> a S c | b\n",
     "dyck.cfg": "S -> S S | a S b | a b\n",
     "dyck2.cfg": "S -> S S | a S b | c S d | a b | c d\n",
     # its CNF pairs the two b's in the helpers X1 and X2
@@ -145,6 +149,22 @@ ENTRIES = {
     "measure-rho-dyck2-random": _measure(
         "dyck2.cfg", "random", "--n-min", "1", "--n-max", "6", "--count", "500", "--seed", "7"
     ),
+    # sweeps of a grammar with the empty word, exhaustive and random (the
+    # fit leaves out the value-0 row), two-cycle sweeps fitted, a budget of
+    # no automaton, and the alphabet guard (exit 1 before the CSV header)
+    "measure-rho-anbn-eps-exhaustive-1-2": _measure(
+        "anbn-eps.cfg", "exhaustive", "--n-min", "1", "--n-max", "2"
+    ),
+    "measure-rho-anbn-eps-random-fit": _measure(
+        "anbn-eps.cfg", "random", "--n-max", "4", "--count", "50", "--seed", "3", "--fit"
+    ),
+    "measure-rho-anbn-two-cycle-fit": _measure(
+        "anbn.cfg", "two-cycle", "--pairs", "2:3,3:4,3:5,4:5,5:6", "--fit"
+    ),
+    "measure-rho-anbn-budget-0": _measure(
+        "anbn.cfg", "exhaustive", "--n-min", "2", "--n-max", "2", "--budget", "0"
+    ),
+    "measure-rho-acb-exhaustive": _measure("acb.cfg", "exhaustive"),
     # usage errors are found before the CSV header: exit 2
     "measure-rho-negative-budget": _measure("anbn.cfg", "exhaustive", "--budget", "-1"),
     "measure-rho-above-cap": _measure("anbn.cfg", "exhaustive", "--n-min", "1", "--n-max", "4"),

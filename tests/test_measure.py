@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import multiprocessing.process
+import random
 import subprocess
 import sys
 
@@ -492,6 +493,20 @@ def test_random_sweeps_match_the_tuple_word_reduction(rng):
         estimate = measure_rho(g, 4, strategy)
         found = (estimate.value, estimate.witness_word, estimate.witness_id, 60)
         assert found == sweep_by_tuple_words(g, _automata_for(strategy, 4, sorted(g.terminals)))
+
+
+@pytest.mark.parametrize("letters", [("a",), ("a", "b"), ("down", "flat", "up")])
+def test_random_sweeps_draw_the_automata_of_random_nfa(letters):
+    # a random sweep's k-th automaton is the k-th random_nfa drawn from
+    # Random(seed), its size drawn first; the tuple-word tests read
+    # _automata_for on both sides and cannot see a change in the draws
+    for seed, n, density in [(0, 1, 0.3), (1, 3, 0.15), (7, 6, 0.5), (42, 4, 1.0), (5, 2, 0.0)]:
+        rng = random.Random(seed)
+        replay = [
+            ("random_s%d_%d" % (seed, k), random_nfa(rng, rng.randint(1, n), letters, density))
+            for k in range(40)
+        ]
+        assert list(_automata_for(RandomSample(40, seed, density), n, letters)) == replay
 
 
 def sweep_outcome(sweep, g, n, strategy):
