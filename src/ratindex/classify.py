@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .errors import RatIndexError
 from .grammar import Grammar, Production, generating_nonterminals, trim_useless
-from .sampling import random_parse_tree
+from .sampling import _sampler
 from .trees import dimension
 
 
@@ -185,8 +185,10 @@ def expansive_nonterminals(g: Grammar) -> frozenset[str]:
 
     Expects a grammar reduced to useful symbols; non-generating material is
     ignored so that surrounding contexts always terminate.  A is expansive
-    iff some production reachable from A has two body positions that each
-    rederive A (the derives-a-form-containing relation, reflexively).
+    iff its strongly connected component in the "body contains" graph over
+    generating nonterminals holds a production whose head and two body
+    occurrences lie in it.  The components come from one iterative pass of
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972), with no recursion.
     """
     generating = generating_nonterminals(g)
     prods = [
@@ -197,33 +199,42 @@ def expansive_nonterminals(g: Grammar) -> frozenset[str]:
     ]
     direct: dict[str, set[str]] = {nt: set() for nt in generating}
     for prod in prods:
-        for s in prod.rhs:
-            if s in generating:
-                direct[prod.lhs].add(s)
-    reach: dict[str, set[str]] = {}
-    for nt in generating:
-        seen = {nt}
-        frontier = [nt]
-        while frontier:
-            current = frontier.pop()
-            for nxt in direct[current]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach[nt] = seen
+        direct[prod.lhs].update(s for s in prod.rhs if s in generating)
+    low: dict[str, int] = {}  # visit order, lowered to the least one reached
+    component: dict[str, str] = {}  # each closed nonterminal's component root
+    open_nodes: list[str] = []
+    path: list[tuple] = []  # (node, visit order, stack height, successors)
 
-    expansive = set()
-    for a in generating:
-        for prod in prods:
-            if prod.lhs not in reach[a]:
-                continue
-            regenerating = sum(
-                1 for s in prod.rhs if s in generating and a in reach[s]
-            )
-            if regenerating >= 2:
-                expansive.add(a)
-                break
-    return frozenset(expansive)
+    def visit(node: str) -> None:
+        low[node] = len(low)
+        path.append((node, low[node], len(open_nodes), iter(direct[node])))
+        open_nodes.append(node)
+
+    for root in generating:
+        if root not in low:
+            visit(root)
+        while path:
+            node, order, height, successors = path[-1]
+            for nxt in successors:
+                if nxt not in low:
+                    visit(nxt)
+                    break
+                if nxt not in component:
+                    low[node] = min(low[node], low[nxt])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == order:
+                    component.update(dict.fromkeys(open_nodes[height:], node))
+                    del open_nodes[height:]
+    expansive_roots = {
+        component[p.lhs]
+        for p in prods
+        if sum(1 for s in p.rhs if component.get(s) == component[p.lhs]) >= 2
+    }
+    return frozenset(nt for nt in generating if component[nt] in expansive_roots)
 
 
 @dataclass(frozen=True)
@@ -254,10 +265,11 @@ def classify_grammar(
         ultra, red = verify_ultralinear(g, partition)
         levels = len(partition) - 1
     rng = random.Random(seed)
+    sample = _sampler(reduced)
     max_dim = 0
     drawn = 0
     for _ in range(samples):
-        tree = random_parse_tree(reduced, rng)
+        tree = sample(rng)
         if tree is None:
             continue
         drawn += 1

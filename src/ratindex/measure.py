@@ -158,13 +158,6 @@ def _size_tables(m: int, letters: tuple[str, ...]) -> tuple:
     return frozenset(names), edges, bit_images, pairs
 
 
-def _canonical_sets(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple]:
-    """The sets of ``_canonical_cells`` with their cells as a frozenset,
-    as (states, bits, transitions, pairs)."""
-    for states, bits, cells, pairs in _canonical_cells(max_states, alphabet):
-        yield states, bits, frozenset(cells), pairs
-
-
 def _canonical_cells(max_states: int, alphabet: Sequence[str]) -> Iterator[tuple]:
     """Per size m = 1..max_states, the transition sets that no state
     permutation sorts lower, as (states, bits, cells, pairs) in order of
@@ -210,7 +203,7 @@ def enumerate_nfas(
     An automaton is kept when no state permutation gives it a smaller
     encoding (sorted transitions, then sorted initial and accepting
     states).  The transitions decide first: the canonical transition sets
-    are generated in order, each from a smaller one (``_canonical_sets``),
+    are generated in order, each from a smaller one (``_canonical_cells``),
     and a set's initial/accepting pairs are compared under its automorphisms.
 
     Only automata with nonempty initial and accepting sets are produced;
@@ -221,39 +214,43 @@ def enumerate_nfas(
     return automata if budget is None else itertools.islice(automata, max(budget, 1))
 
 
-def _candidates_for(
-    strategy: Strategy, n: int, alphabet: Sequence[str]
-) -> Iterator[tuple[str, _Candidate]]:
-    """The automata that ``measure_rho`` tests, in order and with ids, as
-    unvalidated fields."""
+def _sets_for(strategy: Strategy, n: int, alphabet: Sequence[str]) -> Iterator[tuple]:
+    """The automata that ``measure_rho`` tests, in order, grouped by
+    transition set as (states, alphabet, transitions, pairs, id prefix):
+    ``pairs`` holds the (initial, accepting, id suffix) of the set's
+    automata.  An exhaustive group is a set of ``_canonical_cells``, its
+    transitions the sorted tuple of its cells; a random or two-cycle group
+    holds one automaton, with an empty suffix."""
     if isinstance(strategy, Exhaustive):
         letter_set = frozenset(alphabet)  # shared, like the set's and the size's
-        for states, bits, transitions, pairs in _canonical_sets(n, alphabet):
-            for initial, accepting, suffix in pairs:
-                yield "enum_m%d_t%x_i%s" % (len(states), bits, suffix), _Candidate(
-                    states, letter_set, transitions, initial, accepting
-                )
+        for states, bits, cells, pairs in _canonical_cells(n, alphabet):
+            yield states, letter_set, cells, pairs, "enum_m%d_t%x_i" % (len(states), bits)
     elif isinstance(strategy, RandomSample):
         rng = random.Random(strategy.seed)
         letters = tuple(sorted(alphabet))
         for index in range(strategy.count):
-            fields = _random_nfa_fields(rng, rng.randint(1, n), letters, strategy.density)
-            yield "random_s%d_%d" % (strategy.seed, index), _Candidate._make(fields)
+            states, letter_set, transitions, initial, accepting = _random_nfa_fields(
+                rng, rng.randint(1, n), letters, strategy.density)
+            pairs = ((initial, accepting, ""),)
+            yield states, letter_set, transitions, pairs, "random_s%d_%d" % (strategy.seed, index)
     else:
         if strategy.p + strategy.q > n:
             raise ValueError("two-cycle automaton has %d states, n is %d" % (
                 strategy.p + strategy.q, n))
         nfa = two_cycle_family(strategy.p, strategy.q)
-        yield "two_cycle_%d_%d" % (strategy.p, strategy.q), _Candidate(
-            nfa.states, nfa.alphabet, nfa.transitions, nfa.initial, nfa.accepting
-        )
+        pairs = ((nfa.initial, nfa.accepting, ""),)
+        yield nfa.states, nfa.alphabet, nfa.transitions, pairs, "two_cycle_%d_%d" % (
+            strategy.p, strategy.q)
 
 
 def _automata_for(
     strategy: Strategy, n: int, alphabet: Sequence[str]
 ) -> Iterator[tuple[str, NFA]]:
-    """The automata of ``_candidates_for`` as validated ``NFA``s."""
-    return ((ident, NFA(*c)) for ident, c in _candidates_for(strategy, n, alphabet))
+    """The automata of ``_sets_for`` as validated ``NFA``s, with their ids."""
+    for states, letter_set, cells, pairs, prefix in _sets_for(strategy, n, alphabet):
+        transitions = frozenset(cells)
+        for initial, accepting, suffix in pairs:
+            yield prefix + suffix, NFA(states, letter_set, transitions, initial, accepting)
 
 
 def _evaluate_automaton(
@@ -307,22 +304,20 @@ def measure_rho(
     whose shortest word is shorter resolves no witness, and none is
     evaluated while every start triple of its closure is shorter.
 
-    Automata are read as unvalidated fields, and only the winner's ``NFA``
-    is built.  A negative budget is a ValueError.  An exhaustive sweep reads
-    the automata of ``enumerate_nfas`` set by set (``_canonical_cells``): a
-    product closure depends on the transitions only, so a set's automata
-    share one full closure, built at the first one that the empty word does
-    not answer.  Once the best length exceeds the set's longest start
-    triple, its other automata are counted and skipped whole, with no
-    ``_Candidate``; an id is built only for a result that is compared.  A
-    budget that ends inside a set cuts it there.  Random and two-cycle
-    automata share no closure.  One that accepts one of the grammar's
-    shortest words while they are below the floor builds none; each other
-    builds one that stops at its answer (see ``_evaluate_automaton``), so
-    an automaton below the floor settles no triple longer than its shortest
-    start triple.  The sweep always runs in the calling process, one
-    automaton after another; ``workers`` is accepted for compatibility and
-    has no effect.
+    One loop reads the automata of ``_sets_for``, grouped by transition
+    set, as unvalidated fields; only the winner's ``NFA`` is built, and an
+    id only for a result that is compared.  A negative budget is a
+    ValueError, and a budget that ends inside a set cuts it there.  In an
+    exhaustive sweep a set's automata share one full ``ProductClosure``, as
+    a closure depends on the transitions only, built at the first one that
+    the empty word does not answer; once the best length exceeds the set's
+    longest start triple, its other automata are counted and skipped whole,
+    with no ``_Candidate``.  Random and two-cycle automata share no
+    closure: one that accepts one of the grammar's shortest words while
+    they are below the floor builds none, and each other builds one that
+    stops at its answer (see ``_evaluate_automaton``).  The sweep always
+    runs in the calling process, one automaton after another; ``workers``
+    is accepted for compatibility and has no effect.
     """
     if n < 1:
         raise ValueError("automaton size bound must be positive")
@@ -339,40 +334,28 @@ def measure_rho(
 
     best: tuple[int, str, str, _Candidate] | None = None
     tested, truncated = 0, False
-
-    def compare(result: tuple[int, str], ident: str, nfa: _Candidate) -> None:
-        nonlocal best
-        length, code = result
-        if best is None or length > best[0] or (length == best[0] and (code, ident) < best[1:3]):
-            best = (length, code, ident, nfa)
-
-    if exhaustive:
-        letter_set = frozenset(alphabet)
-        for states, bits, cells, pairs in _canonical_cells(n, alphabet):
-            transitions = frozenset(cells)
-            if budget is not None and tested + len(pairs) > budget:
-                pairs, truncated = pairs[:budget - tested], True
-            tested += len(pairs)
-            closure = None
-            for initial, accepting, suffix in pairs:
-                if closure is None and not (g.epsilon_at_start and initial & accepting):
-                    closure = ProductClosure(g, cells)  # sorted, so its sort is linear
-                    rows = closure.by_source[g.start].values()
-                    longest = max((d for r in rows for _, d in r), default=0)
-                if closure is not None and best and longest < best[0]:
-                    break
-                nfa = _Candidate(states, letter_set, transitions, initial, accepting)
-                result = _evaluate_automaton(g, nfa, best[0] if best else 0, closure)
-                if result is not None:
-                    compare(result, "enum_m%d_t%x_i%s" % (len(states), bits, suffix), nfa)
-            if truncated:
+    for states, letter_set, cells, pairs, prefix in _sets_for(strategy, n, alphabet):
+        transitions = frozenset(cells)
+        if budget is not None and tested + len(pairs) > budget:
+            pairs, truncated = pairs[:budget - tested], True
+        tested += len(pairs)
+        closure = None
+        for initial, accepting, suffix in pairs:
+            if exhaustive and closure is None and not (g.epsilon_at_start and initial & accepting):
+                closure = ProductClosure(g, cells)  # sorted, so its sort is linear
+                rows = closure.by_source[g.start].values()
+                longest = max((d for r in rows for _, d in r), default=0)
+            if closure is not None and best and longest < best[0]:
                 break
-    else:
-        for ident, nfa in _candidates_for(strategy, n, alphabet):
-            tested += 1
-            result = _evaluate_automaton(g, nfa, best[0] if best else 0)
+            nfa = _Candidate(states, letter_set, transitions, initial, accepting)
+            result = _evaluate_automaton(g, nfa, best[0] if best else 0, closure)
             if result is not None:
-                compare(result, ident, nfa)
+                length, code = result
+                ident = prefix + suffix
+                if best is None or (-length, code, ident) < (-best[0], *best[1:3]):
+                    best = (length, code, ident, nfa)
+        if truncated:
+            break
 
     estimate = RhoEstimate(
         n=n,

@@ -9,7 +9,7 @@ import functools
 import itertools
 import random
 import string
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .grammar import (
     CNFGrammar,
@@ -39,13 +39,17 @@ def random_parse_tree(g: Grammar, rng: random.Random, max_depth: int = 12) -> Pa
     production is forced, which keeps trees small.  Returns None when the
     language is empty.
     """
+    return _sampler(g, max_depth)(rng)
+
+
+def _sampler(g: Grammar, max_depth: int = 12) -> Callable[[random.Random], ParseTree | None]:
+    """``random_parse_tree`` of ``g`` as a function of the generator, with
+    the heights and each production's height need computed once."""
     heights = min_heights(g)
-    if heights[g.start] > max_depth:
-        return None
     index = g.by_lhs()
     need = {p: 1 + max([heights[s] for s in p.rhs], default=0) for p in g.productions}
 
-    def expand(symbol: str, budget: int) -> ParseTree:
+    def expand(symbol: str, budget: int, rng: random.Random) -> ParseTree:
         if symbol in g.terminals:
             return ParseTree(symbol)
         feasible = [p for _, p in index[symbol] if need[p] <= budget]
@@ -56,9 +60,9 @@ def random_parse_tree(g: Grammar, rng: random.Random, max_depth: int = 12) -> Pa
         prod = rng.choice(feasible)
         if not prod.rhs:
             return ParseTree(symbol, (ParseTree(EPSILON),))
-        return ParseTree(symbol, tuple(expand(s, budget - 1) for s in prod.rhs))
+        return ParseTree(symbol, tuple(expand(s, budget - 1, rng) for s in prod.rhs))
 
-    return expand(g.start, max_depth)
+    return lambda rng: None if heights[g.start] > max_depth else expand(g.start, max_depth, rng)
 
 
 _NT_NAMES = tuple("S A B C D E F G H".split())

@@ -19,6 +19,7 @@ from ratindex.grammar import (
     Grammar,
     Production,
     cyk_membership,
+    generating_nonterminals,
     trim_useless,
 )
 from ratindex.graphs import NFA, GraphFormatError, LabeledGraph
@@ -624,7 +625,7 @@ def measure_rho_without_floor(g: CNFGrammar, n: int, strategy) -> RhoEstimate:
 
 
 def canonical_sets_by_scan(m: int, alphabet):
-    """Reference for ``measure._canonical_sets`` at size m: every raw
+    """Reference for ``measure._canonical_cells`` at size m: every raw
     transition set in increasing order of its bits (bit b the b-th cell
     (state, letter, state) in sorted order), kept when no state permutation
     sorts its list of cell indices lower.  Yields (bits, transitions, pairs),
@@ -1260,3 +1261,52 @@ def superlinear_core_by_rescan(g: Grammar) -> frozenset[str] | None:
         if not all(_outer_production_ok(p, core, g) for _, p in index.get(nt, ())):
             return None
     return frozenset(core)
+
+
+def expansive_nonterminals_by_reach(g: Grammar) -> frozenset[str]:
+    """``classify.expansive_nonterminals`` by one depth-first search per
+    nonterminal and a scan of every production per nonterminal: quadratic.
+
+    Nonterminals A admitting a derivation A =>* u A v A w.
+
+    Expects a grammar reduced to useful symbols; non-generating material is
+    ignored so that surrounding contexts always terminate.  A is expansive
+    iff some production reachable from A has two body positions that each
+    rederive A (the derives-a-form-containing relation, reflexively).
+    """
+    generating = generating_nonterminals(g)
+    prods = [
+        p
+        for p in g.productions
+        if p.lhs in generating
+        and all(s in g.terminals or s in generating for s in p.rhs)
+    ]
+    direct: dict[str, set[str]] = {nt: set() for nt in generating}
+    for prod in prods:
+        for s in prod.rhs:
+            if s in generating:
+                direct[prod.lhs].add(s)
+    reach: dict[str, set[str]] = {}
+    for nt in generating:
+        seen = {nt}
+        frontier = [nt]
+        while frontier:
+            current = frontier.pop()
+            for nxt in direct[current]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        reach[nt] = seen
+
+    expansive = set()
+    for a in generating:
+        for prod in prods:
+            if prod.lhs not in reach[a]:
+                continue
+            regenerating = sum(
+                1 for s in prod.rhs if s in generating and a in reach[s]
+            )
+            if regenerating >= 2:
+                expansive.add(a)
+                break
+    return frozenset(expansive)

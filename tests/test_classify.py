@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import ratindex.sampling
 from ratindex.classify import (
     MalformedPartitionError,
     classify_grammar,
@@ -11,11 +14,16 @@ from ratindex.classify import (
 )
 from ratindex.datalog import chain_to_cfg, parse_chain_program
 from ratindex.grammar import parse_grammar, trim_useless
-from ratindex.sampling import random_grammar
+from ratindex.sampling import min_heights, random_grammar, random_parse_tree
+from ratindex.trees import dimension
 
 from conftest import EXAMPLE_PROGRAM
 from generators import random_reduced_ultralinear_grammar, random_superlinear_grammar
-from oracles import expansive_bruteforce, superlinear_exhaustive
+from oracles import (
+    expansive_bruteforce,
+    expansive_nonterminals_by_reach,
+    superlinear_exhaustive,
+)
 
 
 SS_GRAMMAR = "S -> S S | a\n"
@@ -166,6 +174,20 @@ def test_expansive_agrees_with_sentential_search(rng):
             assert (nt in found) == expansive_bruteforce(g, nt), (g, nt)
 
 
+def test_expansive_matches_the_reachability_reference():
+    # seeded grammars with up to six nonterminals, bodies of up to four
+    # symbols and ε rules, as drawn and with their useless symbols trimmed
+    rng = random.Random(35)
+    with_expansive = 0
+    for _ in range(4000):
+        g = random_grammar(rng, max_nonterminals=6, max_body=4, epsilon_weight=0.2)
+        for form in g, trim_useless(g):
+            found = expansive_nonterminals(form)
+            assert found == expansive_nonterminals_by_reach(form), form
+        with_expansive += bool(found)
+    assert with_expansive >= 1000
+
+
 # --- aggregate report ---------------------------------------------------------
 
 
@@ -184,6 +206,25 @@ def test_classify_report_with_partition():
     report = classify_grammar(g, partition=[{"A", "B"}, {"S"}], samples=50)
     assert report.ultralinear and report.reduced_form
     assert report.levels == 1
+
+
+def test_classify_computes_the_sampler_tables_once(monkeypatch):
+    calls = []
+
+    def counting_min_heights(g):
+        calls.append(g)
+        return min_heights(g)
+
+    g = parse_grammar("S -> S S | a S b | A\nA -> c A | B |\nB -> B b\n")
+    monkeypatch.setattr(ratindex.sampling, "min_heights", counting_min_heights)
+    report = classify_grammar(g, samples=200, seed=3)
+    assert len(calls) == 1
+    # the same draws as 200 calls of random_parse_tree on the trimmed grammar
+    rng = random.Random(3)
+    trees = [random_parse_tree(trim_useless(g), rng) for _ in range(200)]
+    dims = [dimension(tree) for tree in trees if tree is not None]
+    assert (report.max_observed_dimension, report.sampled_trees) == (max(dims), len(dims))
+    assert len(dims) == 200 and max(dims) >= 3
 
 
 def test_superlinear_samples_stay_flat(rng):

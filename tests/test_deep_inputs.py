@@ -20,7 +20,7 @@ import tracemalloc
 
 import pytest
 
-from ratindex.classify import superlinear_core
+from ratindex.classify import expansive_nonterminals, superlinear_core
 from ratindex.cli import main
 from ratindex.datalog import chain_to_cfg, evaluate, parse_chain_program
 from ratindex.grammar import (
@@ -41,7 +41,7 @@ from ratindex.trees import ParseTree, dimension
 from ratindex.wellnested import WellNestedWord, harmonic, matching_pairs, oscillation
 
 from conftest import ANBN_TEXT
-from oracles import naive_datalog_fixpoint
+from oracles import expansive_nonterminals_by_reach, naive_datalog_fixpoint
 
 
 def anbn_chain(k):
@@ -337,6 +337,22 @@ def test_superlinear_core_on_a_3001_rule_cascade():
     g = parse_grammar(cascading_chain(3000))
     core, seconds = timed_with_a_shallow_stack(lambda: superlinear_core(g))
     assert core is None
+    assert seconds < 0.4
+
+
+@pytest.mark.parametrize("build, expected", [
+    (right_linear_chain, frozenset()),
+    (cascading_chain, frozenset({"B%05d"})),
+], ids=["right-linear-chain", "cascade"])
+def test_expansive_nonterminals_on_long_chains(build, expected):
+    # the quadratic reference takes seconds at 3,001 rules, so its answer
+    # there is pinned
+    small = parse_grammar(build(1000))
+    assert expansive_nonterminals(small) == expansive_nonterminals_by_reach(small)
+    assert expansive_nonterminals(small) == {nt % 1000 for nt in expected}
+    g = parse_grammar(build(3000))
+    found, seconds = timed_with_a_shallow_stack(lambda: expansive_nonterminals(g))
+    assert found == {nt % 3000 for nt in expected}
     assert seconds < 0.4
 
 

@@ -34,7 +34,7 @@ from ratindex.measure import (
     RandomSample,
     TwoCycle,
     _automata_for,
-    _canonical_sets,
+    _canonical_cells,
     _evaluate_automaton,
     enumerate_nfas,
     fit_growth,
@@ -293,9 +293,10 @@ def test_orderly_generation_lists_the_scans_sets_in_its_order(alphabet):
     scan = ((m, *found) for m in (1, 2, 3) for found in canonical_sets_by_scan(m, alphabet))
     as_indices = {}  # a set's pairs as the scan lists them, per distinct pairs
     automata = 0
-    for (states, bits, transitions, pairs), expected in zip(
-        _canonical_sets(3, alphabet), scan, strict=True
+    for (states, bits, cells, pairs), expected in zip(
+        _canonical_cells(3, alphabet), scan, strict=True
     ):
+        transitions = frozenset(cells)
         if pairs not in as_indices:
             as_indices[pairs] = [(state_indices(i), state_indices(f)) for i, f, _ in pairs]
             assert [suffix for *_, suffix in pairs] == [
